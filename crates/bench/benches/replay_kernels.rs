@@ -1,19 +1,17 @@
-//! Micro-benchmark: scalar vs lane filter kernels
+//! Micro-benchmark: the texture filter kernels.
 //!
 //! Times one full sampler pass over the real rasterized fragment
-//! distribution of the reduced benchmark scene, per filter mode and per
-//! [`KernelMode`] — the kernel-level view behind the whole-sweep
-//! `cells_per_sec` numbers in EXPERIMENTS.md (policy and kernel
-//! inventory in docs/PERFORMANCE.md). Both kernel modes are always
-//! compiled, so one binary times both sides back-to-back; the checksum
-//! accumulated per pass is asserted equal across modes, re-proving
-//! byte-identity on the same inputs being timed.
+//! distribution of the reduced benchmark scene, per filter mode — a
+//! kernel-level regression timer under the whole-sweep throughput
+//! numbers in EXPERIMENTS.md (kernel inventory in docs/PERFORMANCE.md).
+//! The kernels' bit-identity to the reference filters is asserted by
+//! the unit tests in `pimgfx_texture::filter`, not here.
 
 use pimgfx::SimConfig;
 use pimgfx_bench::bench_scene;
 use pimgfx_bench::microbench::BenchGroup;
 use pimgfx_texture::{FetchSet, FilterMode, Sampler, SamplerConfig};
-use pimgfx_types::{KernelMode, Vec2};
+use pimgfx_types::Vec2;
 
 fn main() {
     let scene = bench_scene();
@@ -38,34 +36,23 @@ fn main() {
         FilterMode::Trilinear,
         FilterMode::Anisotropic,
     ] {
-        let mut checksums = Vec::new();
-        for mode in [KernelMode::Scalar, KernelMode::Lanes] {
-            let sampler = Sampler::new(SamplerConfig {
-                kernels: mode,
-                filter,
-                ..SamplerConfig::default()
-            });
-            let mut set = FetchSet::new();
-            let mut last = 0.0f32;
-            group.bench_function(format!("{filter:?}_{mode:?}").to_lowercase(), || {
-                let mut acc = 0.0f32;
-                for f in &frags {
-                    let tex = scene.texture(f.texture);
-                    let scale = Vec2::new(tex.width() as f32, tex.height() as f32);
-                    let ddx = Vec2::new(f.duv_dx.x * scale.x, f.duv_dx.y * scale.y);
-                    let ddy = Vec2::new(f.duv_dy.x * scale.x, f.duv_dy.y * scale.y);
-                    let info = sampler.sample_into(tex, f.uv, ddx, ddy, &mut set);
-                    acc += info.color.r + set.len() as f32;
-                }
-                last = acc;
-                acc
-            });
-            checksums.push(last.to_bits());
-        }
-        assert_eq!(
-            checksums[0], checksums[1],
-            "{filter:?}: lane pass checksum diverged from scalar"
-        );
+        let sampler = Sampler::new(SamplerConfig {
+            filter,
+            ..SamplerConfig::default()
+        });
+        let mut set = FetchSet::new();
+        group.bench_function(format!("{filter:?}").to_lowercase(), || {
+            let mut acc = 0.0f32;
+            for f in &frags {
+                let tex = scene.texture(f.texture);
+                let scale = Vec2::new(tex.width() as f32, tex.height() as f32);
+                let ddx = Vec2::new(f.duv_dx.x * scale.x, f.duv_dx.y * scale.y);
+                let ddy = Vec2::new(f.duv_dy.x * scale.x, f.duv_dy.y * scale.y);
+                let info = sampler.sample_into(tex, f.uv, ddx, ddy, &mut set);
+                acc += info.color.r + set.len() as f32;
+            }
+            acc
+        });
     }
     group.finish();
 }

@@ -9,9 +9,12 @@
 //!        fig15 fig16 overhead ablation all]
 //! ```
 //!
-//! With no figure arguments, everything runs. `--quick` restricts the
-//! benchmark columns to a small subset (useful for smoke runs); `--csv`
-//! additionally drops each figure's data as `DIR/<figure>.csv`.
+//! `--help` prints the usage line above; an unknown flag, a missing flag
+//! value or a non-numeric `--frames` is an error (exit 1), never a
+//! silent default. With no figure arguments, everything runs. `--quick`
+//! restricts the benchmark columns to a small subset (useful for smoke
+//! runs); `--csv` additionally drops each figure's data as
+//! `DIR/<figure>.csv`.
 //! `--trace` prints a per-cell cycle-conservation audit table and makes
 //! an audit failure exit nonzero; the full per-stage breakdown is in
 //! the manifest either way (schema v3, see `docs/OBSERVABILITY.md`).
@@ -75,53 +78,51 @@ fn run_section(
     Ok(())
 }
 
+/// The usage line of the module docs, printed by `--help`.
+const USAGE: &str = "usage: repro [--quick] [--serial] [--trace] [--frames N] [--csv DIR] \
+[--synthetic LABEL] [--synthetic-res WxH] [table1 table2 fig2 fig4 fig5 fig10 fig11 fig12 \
+fig13 fig14 fig15 fig16 overhead ablation all]";
+
 fn main() -> HarnessResult<()> {
     let run_start = Instant::now();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let serial = args.iter().any(|a| a == "--serial");
-    let trace = args.iter().any(|a| a == "--trace");
-    let frames = args
-        .iter()
-        .position(|a| a == "--frames")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let figs: Vec<&str> = args
-        .iter()
-        .map(String::as_str)
-        .filter(|a| !a.starts_with("--") && !a.chars().all(|c| c.is_ascii_digit()))
-        .collect();
-    let csv_dir = args
-        .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
+    // Strict parse: an unknown flag, a missing flag value or a
+    // non-numeric `--frames` is an error, so a typo never silently
+    // starts the full sweep.
+    let (mut quick, mut serial, mut trace, mut frames) = (false, false, false, 2usize);
+    let (mut csv_dir, mut synthetic, mut synthetic_res) = (None, None, None);
+    let mut figs: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = |flag: &str| {
+            args.next()
+                .ok_or_else(|| ConfigError::new("repro", format!("`{flag}` needs a value")))
+        };
+        match arg.as_str() {
+            "--help" => {
+                println!("{USAGE}");
+                return Ok(());
+            }
+            "--quick" => quick = true,
+            "--serial" => serial = true,
+            "--trace" => trace = true,
+            "--frames" => {
+                let v = value("--frames")?;
+                frames = v.parse().map_err(|_| {
+                    ConfigError::new("repro", format!("`--frames` expects a count, got `{v}`"))
+                })?;
+            }
+            "--csv" => csv_dir = Some(std::path::PathBuf::from(value("--csv")?)),
+            "--synthetic" => synthetic = Some(value("--synthetic")?),
+            "--synthetic-res" => synthetic_res = Some(value("--synthetic-res")?),
+            flag if flag.starts_with('-') => {
+                let reason = format!("unknown flag `{flag}` (try --help)");
+                return Err(ConfigError::new("repro", reason).into());
+            }
+            _ => figs.push(arg),
+        }
+    }
+    let figs: Vec<&str> = figs.iter().map(String::as_str).collect();
     let csv = CsvSink::new(csv_dir.clone())?;
-    let synthetic = args
-        .iter()
-        .position(|a| a == "--synthetic")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let synthetic_res = args
-        .iter()
-        .position(|a| a == "--synthetic-res")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    // Value-taking flags consume their next argument; drop those
-    // values from the figure list.
-    let flag_values: Vec<&String> = ["--csv", "--synthetic", "--synthetic-res"]
-        .iter()
-        .filter_map(|flag| {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-        })
-        .collect();
-    let figs: Vec<&str> = figs
-        .into_iter()
-        .filter(|f| !flag_values.iter().any(|v| v.as_str() == *f))
-        .collect();
     let all = figs.is_empty() || figs.contains(&"all");
     // Unknown section names must fail loudly, not silently no-op.
     for f in &figs {

@@ -291,7 +291,6 @@ impl Precomputer {
         buf: &mut LanePre,
         scratch: &mut PreScratch,
     ) {
-        let lanes = self.sampler.config().kernels.is_lanes();
         for frag in quad {
             let (ddx, ddy) = texpath::texel_derivs(tex, frag);
             let fp = self.sampler.footprint(ddx, ddy);
@@ -338,21 +337,11 @@ impl Precomputer {
                     let wx = wrap.wrap(x0 + cx, img.width());
                     let wy = wrap.wrap(y0 + cy, img.height());
                     let line = layout.texel_line_addr(wx, wy, level);
-                    // Bit-identical kernel pair with the serial path's
-                    // reuse-miss recompute (same kernel, same operands;
-                    // the unwrapped coordinate is what the serial path
-                    // passes, so clamped wraps agree too).
-                    let value = if lanes {
-                        filter::average_children_lanes(
-                            tex,
-                            x0 + cx,
-                            y0 + cy,
-                            level,
-                            &scratch.offsets,
-                        )
-                    } else {
-                        filter::average_children(tex, x0 + cx, y0 + cy, level, &scratch.offsets)
-                    };
+                    // The serial path's reuse-miss recompute: same kernel,
+                    // same operands (the unwrapped coordinate is what the
+                    // serial path passes, so clamped wraps agree too).
+                    let value =
+                        filter::average_children(tex, x0 + cx, y0 + cy, level, &scratch.offsets);
                     buf.corners.push(CornerPre {
                         wx,
                         wy,

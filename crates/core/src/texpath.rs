@@ -852,94 +852,85 @@ impl TexturePath {
         // functional side must too.
         let mut line_hit = [false; 8];
 
-        let mut level_color = |path: &mut Self,
-                               scratch: &mut PathScratch,
-                               level: usize,
-                               div: i64|
-         -> Rgba {
-            let (x0, y0, fx, fy) = filter::bilinear_corners(tex, frag.uv, level);
-            let img = tex.level(level);
-            let wrap = tex.wrap();
-            let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
-            filter::probe_offsets_into(&fp, fp.aniso_ratio, fine_scale, &mut scratch.offsets);
-            if div != 1 {
-                for o in scratch.offsets.iter_mut() {
-                    *o = (o.0 / div, o.1 / div);
+        let mut level_color =
+            |path: &mut Self, scratch: &mut PathScratch, level: usize, div: i64| -> Rgba {
+                let (x0, y0, fx, fy) = filter::bilinear_corners(tex, frag.uv, level);
+                let img = tex.level(level);
+                let wrap = tex.wrap();
+                let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
+                filter::probe_offsets_into(&fp, fp.aniso_ratio, fine_scale, &mut scratch.offsets);
+                if div != 1 {
+                    for o in scratch.offsets.iter_mut() {
+                        *o = (o.0 / div, o.1 / div);
+                    }
                 }
-            }
-            let offsets = &scratch.offsets;
-            // Degenerate kernel: every probe lands on the parent texel
-            // itself (common at the coarser of the two blended levels).
-            // The "average over children" is then exactly the texel — no
-            // child set exists, so there is nothing to offload and no
-            // camera angle to compare: it is an ordinary texel fetch.
-            let degenerate = offsets.iter().all(|&o| o == (0, 0));
-            let mut corners = [Rgba::TRANSPARENT; 4];
-            for (ci, (cx, cy)) in [(0i64, 0i64), (1, 0), (0, 1), (1, 1)]
-                .into_iter()
-                .enumerate()
-            {
-                let wx = wrap.wrap(x0 + cx, img.width());
-                let wy = wrap.wrap(y0 + cy, img.height());
-                let line = layout.texel_line_addr(wx, wy, level);
-                let slot = match parent_lines.as_slice().iter().position(|&l| l == line) {
-                    Some(i) => i,
-                    None => {
-                        let i = usize::from(parent_lines.len);
-                        parent_lines.push(line);
-                        let outcome = if degenerate {
-                            path.probe_plain(cluster, line)
-                        } else {
-                            path.probe_with_angle(cluster, line, angle)
-                        };
-                        line_hit[i] = !matches!(outcome, ProbeOutcome::Miss);
-                        match outcome {
-                            ProbeOutcome::L1Hit => {
-                                hit_ready = hit_ready.max(Duration::new(L1_HIT_CYCLES));
+                let offsets = &scratch.offsets;
+                // Degenerate kernel: every probe lands on the parent texel
+                // itself (common at the coarser of the two blended levels).
+                // The "average over children" is then exactly the texel — no
+                // child set exists, so there is nothing to offload and no
+                // camera angle to compare: it is an ordinary texel fetch.
+                let degenerate = offsets.iter().all(|&o| o == (0, 0));
+                let mut corners = [Rgba::TRANSPARENT; 4];
+                for (ci, (cx, cy)) in [(0i64, 0i64), (1, 0), (0, 1), (1, 1)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let wx = wrap.wrap(x0 + cx, img.width());
+                    let wy = wrap.wrap(y0 + cy, img.height());
+                    let line = layout.texel_line_addr(wx, wy, level);
+                    let slot = match parent_lines.as_slice().iter().position(|&l| l == line) {
+                        Some(i) => i,
+                        None => {
+                            let i = usize::from(parent_lines.len);
+                            parent_lines.push(line);
+                            let outcome = if degenerate {
+                                path.probe_plain(cluster, line)
+                            } else {
+                                path.probe_with_angle(cluster, line, angle)
+                            };
+                            line_hit[i] = !matches!(outcome, ProbeOutcome::Miss);
+                            match outcome {
+                                ProbeOutcome::L1Hit => {
+                                    hit_ready = hit_ready.max(Duration::new(L1_HIT_CYCLES));
+                                }
+                                ProbeOutcome::L2Hit => {
+                                    hit_ready = hit_ready.max(Duration::new(L2_HIT_CYCLES));
+                                }
+                                ProbeOutcome::Miss if degenerate => plain_miss_lines.push(line),
+                                ProbeOutcome::Miss => miss_lines.push(line),
                             }
-                            ProbeOutcome::L2Hit => {
-                                hit_ready = hit_ready.max(Duration::new(L2_HIT_CYCLES));
-                            }
-                            ProbeOutcome::Miss if degenerate => plain_miss_lines.push(line),
-                            ProbeOutcome::Miss => miss_lines.push(line),
+                            i
                         }
-                        i
-                    }
-                };
-                // Functional: reuse the stored parent value only when the
-                // cache actually hit (with a compatible angle); any miss —
-                // capacity or angle — recomputes with this fragment's own
-                // footprint, as the hardware would.
-                let cached_in_hw = line_hit[slot];
-                let key: ParentKey = (tex.id().raw(), level as u8, wx, wy);
-                let reuse = match path.parent_values.get(&key) {
-                    Some((stored_angle, value))
-                        if cached_in_hw && stored_angle.abs_diff(angle) <= path.angle_threshold =>
-                    {
-                        Some(*value)
-                    }
-                    _ => None,
-                };
-                corners[ci] = match reuse {
-                    Some(v) => v,
-                    None => {
-                        // Bit-identical kernel pair; the lane variant
-                        // accumulates channel-major (see
-                        // `pimgfx_texture::filter` lane kernels).
-                        let v = if path.sampler.config().kernels.is_lanes() {
-                            filter::average_children_lanes(tex, x0 + cx, y0 + cy, level, offsets)
-                        } else {
-                            filter::average_children(tex, x0 + cx, y0 + cy, level, offsets)
-                        };
-                        path.parent_values.insert(key, (angle, v));
-                        v
-                    }
-                };
-            }
-            corners[0]
-                .lerp(corners[1], fx)
-                .lerp(corners[2].lerp(corners[3], fx), fy)
-        };
+                    };
+                    // Functional: reuse the stored parent value only when the
+                    // cache actually hit (with a compatible angle); any miss —
+                    // capacity or angle — recomputes with this fragment's own
+                    // footprint, as the hardware would.
+                    let cached_in_hw = line_hit[slot];
+                    let key: ParentKey = (tex.id().raw(), level as u8, wx, wy);
+                    let reuse = match path.parent_values.get(&key) {
+                        Some((stored_angle, value))
+                            if cached_in_hw
+                                && stored_angle.abs_diff(angle) <= path.angle_threshold =>
+                        {
+                            Some(*value)
+                        }
+                        _ => None,
+                    };
+                    corners[ci] = match reuse {
+                        Some(v) => v,
+                        None => {
+                            let v = filter::average_children(tex, x0 + cx, y0 + cy, level, offsets);
+                            path.parent_values.insert(key, (angle, v));
+                            v
+                        }
+                    };
+                }
+                corners[0]
+                    .lerp(corners[1], fx)
+                    .lerp(corners[2].lerp(corners[3], fx), fy)
+            };
 
         let c_fine = level_color(self, scratch, fine, 1);
         let color = if coarse == fine || w == 0.0 {
@@ -1098,9 +1089,8 @@ pub(crate) fn texel_derivs(tex: &MippedTexture, frag: &Fragment) -> (Vec2, Vec2)
 ///
 /// Addressing runs as a batch over the flat trace first
 /// ([`TextureLayout::texel_line_addrs_into`], via the `addrs` scratch),
-/// then the dedup folds the resulting flat `u64` slice — the same split
-/// the lane kernels use: bulk arithmetic over SoA buffers, order-sensitive
-/// logic scalar.
+/// then the dedup folds the resulting flat `u64` slice: bulk arithmetic
+/// over SoA buffers, order-sensitive logic scalar.
 pub(crate) fn dedup_lines_into(
     fetches: &[pimgfx_texture::TexelFetch],
     layout: &TextureLayout,

@@ -10,9 +10,10 @@
 //! approximation of the approximation — can be compared against ground
 //! truth.
 
+use crate::filter::texel_at;
 use crate::footprint::Footprint;
 use crate::mipmap::MippedTexture;
-use pimgfx_types::{F32x4, Rgba, Vec2};
+use pimgfx_types::{Rgba, Vec2};
 
 /// Maximum texels one EWA evaluation may visit (a safety valve for
 /// degenerate, screen-sized ellipses).
@@ -42,6 +43,19 @@ pub fn filter(
     duv_dx: Vec2,
     duv_dy: Vec2,
     max_aniso: u32,
+) -> (Rgba, u32) {
+    filter_with(tex, uv, duv_dx, duv_dy, max_aniso, texel_at)
+}
+
+/// [`filter`] reading texels through `read`, so tests can substitute the
+/// reference texel read for the kernel one.
+fn filter_with(
+    tex: &MippedTexture,
+    uv: Vec2,
+    duv_dx: Vec2,
+    duv_dy: Vec2,
+    max_aniso: u32,
+    read: fn(&MippedTexture, i64, i64, usize) -> Rgba,
 ) -> (Rgba, u32) {
     let fp = Footprint::from_derivatives(duv_dx, duv_dy, max_aniso);
     let (level, _, _) = fp.mip_levels(tex.max_level());
@@ -110,107 +124,11 @@ pub fn filter(
     (acc * (1.0 / weight_sum), texels)
 }
 
-fn read(tex: &MippedTexture, x: i64, y: i64, level: usize) -> Rgba {
-    let img = tex.level(level);
-    let wrap = tex.wrap();
-    img.texel(wrap.wrap(x, img.width()), wrap.wrap(y, img.height()))
-}
-
-/// Lane-kernel variant of [`filter`] (`KernelMode::Lanes`): the
-/// ellipse-membership test `Q = A dx² + B dx dy + C dy²` is evaluated
-/// for [`F32x4::LANES`] consecutive texels per step — each lane applies
-/// the scalar expression to its own `dx`, so the per-texel `Q` values,
-/// the accepted texel set, and the Gaussian weights are bit-identical —
-/// and the weighted accumulation rides an [`F32x4`] in the same scan
-/// order. Returns exactly what [`filter`] returns.
-pub fn filter_lanes(
-    tex: &MippedTexture,
-    uv: Vec2,
-    duv_dx: Vec2,
-    duv_dy: Vec2,
-    max_aniso: u32,
-) -> (Rgba, u32) {
-    let fp = Footprint::from_derivatives(duv_dx, duv_dy, max_aniso);
-    let (level, _, _) = fp.mip_levels(tex.max_level());
-    let scale = 1.0 / (1u32 << level.min(31)) as f32;
-
-    let ax = duv_dx * scale;
-    let ay = duv_dy * scale;
-    let img = tex.level(level);
-    let center = Vec2::new(
-        uv.x * img.width() as f32 - 0.5,
-        uv.y * img.height() as f32 - 0.5,
-    );
-
-    let mut a = ax.y * ax.y + ay.y * ay.y + 1.0;
-    let mut b = -2.0 * (ax.x * ax.y + ay.x * ay.y);
-    let mut c = ax.x * ax.x + ay.x * ay.x + 1.0;
-    let f = a * c - b * b * 0.25;
-    if f <= 0.0 {
-        let x = center.x.round() as i64;
-        let y = center.y.round() as i64;
-        return (crate::filter::texel_at_fast(tex, x, y, level), 1);
-    }
-    let inv_f = 1.0 / f;
-    a *= inv_f;
-    b *= inv_f;
-    c *= inv_f;
-
-    let half_w = (c / (a * c - b * b * 0.25)).sqrt();
-    let half_h = (a / (a * c - b * b * 0.25)).sqrt();
-    let x0 = (center.x - half_w).floor() as i64;
-    let x1 = (center.x + half_w).ceil() as i64;
-    let y0 = (center.y - half_h).floor() as i64;
-    let y1 = (center.y + half_h).ceil() as i64;
-
-    let mut acc = F32x4::ZERO;
-    let mut weight_sum = 0.0f32;
-    let mut texels = 0u32;
-    let mut q_chunk = [0.0f32; F32x4::LANES];
-    'scan: for ty in y0..=y1 {
-        let dy = ty as f32 - center.y;
-        let mut tx = x0;
-        while tx <= x1 {
-            // One chunk of Q values; the tail past x1 is padded with a
-            // rejecting Q so it never accepts a texel.
-            let chunk = ((x1 - tx + 1) as usize).min(F32x4::LANES);
-            for (i, q) in q_chunk.iter_mut().enumerate() {
-                if i < chunk {
-                    let dx = (tx + i as i64) as f32 - center.x;
-                    *q = a * dx * dx + b * dx * dy + c * dy * dy;
-                } else {
-                    *q = f32::INFINITY;
-                }
-            }
-            // Accept lanes in scan order — identical accumulation order
-            // to the scalar loop.
-            for (i, &q) in q_chunk.iter().enumerate().take(chunk) {
-                if q <= 1.0 {
-                    let w = (-2.0 * q).exp();
-                    let t = crate::filter::texel_at_fast(tex, tx + i as i64, ty, level);
-                    acc = acc + F32x4::from_rgba(t) * w;
-                    weight_sum += w;
-                    texels += 1;
-                    if texels >= MAX_TEXELS {
-                        break 'scan;
-                    }
-                }
-            }
-            tx += chunk as i64;
-        }
-    }
-    if weight_sum <= 0.0 {
-        let x = center.x.round() as i64;
-        let y = center.y.round() as i64;
-        return (crate::filter::texel_at_fast(tex, x, y, level), 1);
-    }
-    ((acc * (1.0 / weight_sum)).to_rgba(), texels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::TextureImage;
+    use crate::filter::reference;
+    use crate::image::{TextureImage, WrapMode};
     use crate::sampler::{Sampler, SamplerConfig};
 
     fn gradient() -> MippedTexture {
@@ -284,31 +202,37 @@ mod tests {
         assert!(out.max_channel_diff(expect) < 0.1);
     }
 
-    /// The lane EWA must reproduce the scalar reference bit-for-bit:
-    /// same accepted texel set, same weights, same accumulation order.
+    /// The EWA integral must be bit-identical whether it reads texels
+    /// through the kernel `texel_at` or the reference read: same
+    /// accepted texel set, same weights, same accumulation order — under
+    /// every wrap mode, at interior and border footprints.
     #[test]
-    fn lanes_filter_bit_identical_to_scalar() {
-        let tex = gradient();
-        for (dx, dy) in [
-            (1.0f32, 1.0f32),
-            (4.0, 1.0),
-            (8.0, 1.0),
-            (2.0, 2.0),
-            (12.0, 0.5),
-            (0.0, 0.0), // degenerate fallback
-        ] {
-            for uv in [
-                Vec2::new(0.5, 0.5),
-                Vec2::new(0.02, 0.97),
-                Vec2::new(0.99, 0.01),
+    fn filter_bit_identical_to_reference_reads() {
+        for wrap in [WrapMode::Repeat, WrapMode::Clamp, WrapMode::Mirror] {
+            let tex = gradient().with_wrap(wrap);
+            for (dx, dy) in [
+                (1.0f32, 1.0f32),
+                (4.0, 1.0),
+                (8.0, 1.0),
+                (2.0, 2.0),
+                (12.0, 0.5),
+                (0.0, 0.0), // degenerate fallback
             ] {
-                let (s, ns) = filter(&tex, uv, Vec2::new(dx, 0.0), Vec2::new(0.0, dy), 16);
-                let (l, nl) = filter_lanes(&tex, uv, Vec2::new(dx, 0.0), Vec2::new(0.0, dy), 16);
-                assert_eq!(ns, nl, "texel count differs at {uv:?} ({dx},{dy})");
-                assert_eq!(s.r.to_bits(), l.r.to_bits(), "at {uv:?} ({dx},{dy})");
-                assert_eq!(s.g.to_bits(), l.g.to_bits());
-                assert_eq!(s.b.to_bits(), l.b.to_bits());
-                assert_eq!(s.a.to_bits(), l.a.to_bits());
+                for uv in [
+                    Vec2::new(0.5, 0.5),
+                    Vec2::new(0.02, 0.97),
+                    Vec2::new(0.99, 0.01),
+                ] {
+                    let (ddx, ddy) = (Vec2::new(dx, 0.0), Vec2::new(0.0, dy));
+                    let (k, nk) = filter(&tex, uv, ddx, ddy, 16);
+                    let (r, nr) = filter_with(&tex, uv, ddx, ddy, 16, reference::texel_at);
+                    let ctx = format!("{wrap:?} {uv:?} ({dx},{dy})");
+                    assert_eq!(nk, nr, "texel count differs: {ctx}");
+                    assert_eq!(k.r.to_bits(), r.r.to_bits(), "{ctx}");
+                    assert_eq!(k.g.to_bits(), r.g.to_bits(), "{ctx}");
+                    assert_eq!(k.b.to_bits(), r.b.to_bits(), "{ctx}");
+                    assert_eq!(k.a.to_bits(), r.a.to_bits(), "{ctx}");
+                }
             }
         }
     }

@@ -10,10 +10,20 @@
 //! so every probe shares the same fractional weights and the identity is
 //! exact up to floating-point rounding — `tests::reorder` and the
 //! property tests check it.
+//!
+//! The kernels take only value-preserving shortcuts: an interior
+//! footprint skips the wrap fold (a border one folds each axis once and
+//! derives the `+1` neighbor with [`WrapMode::wrap_succ`]), interior
+//! bilinear taps are one 2×2 gather, and anisotropic probe offsets are
+//! streamed instead of collected. Unit tests compare every kernel, color
+//! bits and fetch trace, under every wrap mode, against the
+//! straightforward filters of the test-only `reference` module.
+//!
+//! [`WrapMode::wrap_succ`]: crate::image::WrapMode::wrap_succ
 
 use crate::footprint::Footprint;
 use crate::mipmap::MippedTexture;
-use pimgfx_types::{F32x4, Rgba, Vec2};
+use pimgfx_types::{Rgba, Vec2};
 
 /// Which filtering pipeline the sampler runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -186,35 +196,19 @@ impl FetchSink for FetchSet {
     }
 }
 
-/// Reads one texel with wrap applied, without recording a fetch — the
-/// read half of `read_texel`, for texel reads that happen *inside* an
-/// averaging unit (A-TFIM child reads) and are accounted as internal
-/// traffic, not as fetch-trace entries.
+/// Reads one texel with wrap applied, without recording a fetch — for
+/// texel reads that happen *inside* an averaging unit (A-TFIM child
+/// reads) and are accounted as internal traffic, not as fetch-trace
+/// entries. Interior coordinates skip the wrap fold, which is the
+/// identity there.
+#[inline]
 pub fn texel_at(tex: &MippedTexture, x: i64, y: i64, level: usize) -> Rgba {
     let img = tex.level(level);
+    if x >= 0 && y >= 0 && x < i64::from(img.width()) && y < i64::from(img.height()) {
+        return img.texel(x as u32, y as u32);
+    }
     let wrap = tex.wrap();
     img.texel(wrap.wrap(x, img.width()), wrap.wrap(y, img.height()))
-}
-
-/// Wraps a texel coordinate pair and reads the texture, recording the
-/// (wrapped) fetch.
-fn read_texel(
-    tex: &MippedTexture,
-    x: i64,
-    y: i64,
-    level: usize,
-    fetches: &mut impl FetchSink,
-) -> Rgba {
-    let img = tex.level(level);
-    let wrap = tex.wrap();
-    let wx = wrap.wrap(x, img.width());
-    let wy = wrap.wrap(y, img.height());
-    fetches.record(TexelFetch {
-        x: wx,
-        y: wy,
-        level: level as u8,
-    });
-    img.texel(wx, wy)
 }
 
 /// Bilinear 2×2 weights for a uv position (in texels of `level`).
@@ -231,14 +225,21 @@ fn bilinear_setup(uv_texels: Vec2) -> (i64, i64, f32, f32) {
 /// Point-samples the nearest texel.
 pub fn point(tex: &MippedTexture, uv: Vec2, level: usize, fetches: &mut impl FetchSink) -> Rgba {
     let img = tex.level(level);
-    let x = (uv.x * img.width() as f32).floor() as i64;
-    let y = (uv.y * img.height() as f32).floor() as i64;
-    read_texel(tex, x, y, level, fetches)
+    let wrap = tex.wrap();
+    let x = wrap.wrap((uv.x * img.width() as f32).floor() as i64, img.width());
+    let y = wrap.wrap((uv.y * img.height() as f32).floor() as i64, img.height());
+    fetches.record(TexelFetch {
+        x,
+        y,
+        level: level as u8,
+    });
+    img.texel(x, y)
 }
 
 /// Bilinear 2×2 filter on one level. `uv` is normalized [0,1) texture
 /// space; `offset` shifts the sample in integer texels of that level (the
-/// anisotropic probe step).
+/// anisotropic probe step). The four fetches are recorded in
+/// `t00 t10 t01 t11` order.
 pub fn bilinear_at(
     tex: &MippedTexture,
     uv: Vec2,
@@ -250,10 +251,41 @@ pub fn bilinear_at(
     let uv_texels = Vec2::new(uv.x * img.width() as f32, uv.y * img.height() as f32);
     let (x0, y0, fx, fy) = bilinear_setup(uv_texels);
     let (x0, y0) = (x0 + offset.0, y0 + offset.1);
-    let t00 = read_texel(tex, x0, y0, level, fetches);
-    let t10 = read_texel(tex, x0 + 1, y0, level, fetches);
-    let t01 = read_texel(tex, x0, y0 + 1, level, fetches);
-    let t11 = read_texel(tex, x0 + 1, y0 + 1, level, fetches);
+    let interior =
+        x0 >= 0 && y0 >= 0 && x0 + 1 < i64::from(img.width()) && y0 + 1 < i64::from(img.height());
+    let [t00, t10, t01, t11] = if interior {
+        // The wrap fold is the identity on an interior footprint.
+        let (x, y) = (x0 as u32, y0 as u32);
+        let level = level as u8;
+        fetches.record(TexelFetch { x, y, level });
+        fetches.record(TexelFetch { x: x + 1, y, level });
+        fetches.record(TexelFetch { x, y: y + 1, level });
+        fetches.record(TexelFetch {
+            x: x + 1,
+            y: y + 1,
+            level,
+        });
+        img.gather2x2(x, y)
+    } else {
+        // Border: fold each axis once, then derive the `+1` neighbor via
+        // `wrap_succ` — two `rem_euclid` divisions instead of eight.
+        let wrap = tex.wrap();
+        let (w, h) = (img.width(), img.height());
+        let wx0 = wrap.wrap(x0, w);
+        let wy0 = wrap.wrap(y0, h);
+        let wx1 = wrap.wrap_succ(wx0, x0, w);
+        let wy1 = wrap.wrap_succ(wy0, y0, h);
+        let level8 = level as u8;
+        let mut tap = |x: u32, y: u32| {
+            fetches.record(TexelFetch {
+                x,
+                y,
+                level: level8,
+            });
+            img.texel(x, y)
+        };
+        [tap(wx0, wy0), tap(wx1, wy0), tap(wx0, wy1), tap(wx1, wy1)]
+    };
     t00.lerp(t10, fx).lerp(t01.lerp(t11, fx), fy)
 }
 
@@ -281,17 +313,10 @@ pub fn trilinear(tex: &MippedTexture, uv: Vec2, lod: f32, fetches: &mut impl Fet
 }
 
 /// Integer texel probe offsets along the major axis for an `n`-probe
-/// anisotropic kernel at `level`. Offsets are symmetric around zero and
-/// texel-aligned so all probes share bilinear weights (see module docs).
-pub fn probe_offsets(fp: &Footprint, n: u32, level_scale: f32) -> Vec<(i64, i64)> {
-    let mut out = Vec::new();
-    probe_offsets_into(fp, n, level_scale, &mut out);
-    out
-}
-
-/// [`probe_offsets`] writing into a caller-provided scratch buffer
-/// (cleared first), so a per-fragment sampling loop reuses one
-/// allocation instead of building a fresh `Vec` per kernel.
+/// anisotropic kernel at `level`, written into a caller-provided scratch
+/// buffer (cleared first) so a per-fragment loop reuses one allocation.
+/// Offsets are symmetric around zero and texel-aligned so all probes
+/// share bilinear weights (see module docs).
 pub fn probe_offsets_into(fp: &Footprint, n: u32, level_scale: f32, out: &mut Vec<(i64, i64)>) {
     out.clear();
     let (n, step) = probe_plan(fp, n, level_scale);
@@ -301,9 +326,10 @@ pub fn probe_offsets_into(fp: &Footprint, n: u32, level_scale: f32, out: &mut Ve
     }
 }
 
-/// Span-capped probe count and texel step shared by every probe-offset
-/// builder (the scalar `Vec` builders above and the allocation-free lane
-/// kernels below), so the cap policy cannot drift between kernel modes.
+/// Span-capped probe count and texel step shared by
+/// [`probe_offsets_into`] and the anisotropic kernels (which stream the
+/// offsets instead of materializing them), so the cap policy cannot
+/// drift between them.
 fn probe_plan(fp: &Footprint, n: u32, level_scale: f32) -> (u32, f32) {
     // Probes span the major axis; step ≈ major_len / n, in texels of the
     // addressed level (coarser levels shrink the footprint by 2^level).
@@ -335,24 +361,25 @@ pub fn anisotropic_conventional(
     fetches: &mut impl FetchSink,
 ) -> Rgba {
     let (fine, coarse, w) = fp.mip_levels(tex.max_level());
-    let mut acc = Rgba::TRANSPARENT;
     // Probe offsets are computed in fine-level texels and halved (with
     // rounding) for the coarse level, staying texel-aligned on both.
     // The effective probe count may be smaller than the nominal ratio
     // (span-capped), so the average divides by the *actual* count.
     let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
-    let offsets = probe_offsets(fp, fp.aniso_ratio, fine_scale);
-    for &(dx, dy) in &offsets {
+    let (n, step) = probe_plan(fp, fp.aniso_ratio, fine_scale);
+    let two_level = coarse != fine && w != 0.0;
+    let mut acc = Rgba::TRANSPARENT;
+    for i in 0..n {
+        let (dx, dy) = probe_offset(fp, n, step, i);
         let c_fine = bilinear_at(tex, uv, fine, (dx, dy), fetches);
-        let c = if coarse == fine || w == 0.0 {
-            c_fine
-        } else {
+        acc += if two_level {
             let c_coarse = bilinear_at(tex, uv, coarse, (dx / 2, dy / 2), fetches);
             c_fine.lerp(c_coarse, w)
+        } else {
+            c_fine
         };
-        acc += c;
     }
-    acc * (1.0 / offsets.len().max(1) as f32)
+    acc * (1.0 / n.max(1) as f32)
 }
 
 /// A-TFIM reordered anisotropic filter (Fig. 7B): for each of the 8
@@ -372,11 +399,11 @@ pub fn anisotropic_reordered(
 ) -> Rgba {
     let (fine, coarse, w) = fp.mip_levels(tex.max_level());
     let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
-    let offsets = probe_offsets(fp, fp.aniso_ratio, fine_scale);
-    let n = offsets.len() as u32;
+    let (n, step) = probe_plan(fp, fp.aniso_ratio, fine_scale);
 
-    // The averaged parent at each of the four bilinear corners of `level`.
-    let mut level_parents = |level: usize, div: i64| -> (Rgba, Rgba, Rgba, Rgba, f32, f32) {
+    // The bilinear blend of the averaged parents at the four corners of
+    // `level`.
+    let mut level_color = |level: usize, div: i64| -> Rgba {
         let img = tex.level(level);
         let uv_texels = Vec2::new(uv.x * img.width() as f32, uv.y * img.height() as f32);
         let (x0, y0, fx, fy) = bilinear_setup(uv_texels);
@@ -384,7 +411,8 @@ pub fn anisotropic_reordered(
         let corner_off = [(0i64, 0i64), (1, 0), (0, 1), (1, 1)];
         for (ci, &(cx, cy)) in corner_off.iter().enumerate() {
             let mut acc = Rgba::TRANSPARENT;
-            for &(dx, dy) in &offsets {
+            for i in 0..n {
+                let (dx, dy) = probe_offset(fp, n, step, i);
                 // Child reads happen inside the averaging unit: they are
                 // counted, not recorded as external fetches.
                 acc += texel_at(tex, x0 + cx + dx / div, y0 + cy + dy / div, level);
@@ -400,16 +428,16 @@ pub fn anisotropic_reordered(
                 level: level as u8,
             });
         }
-        (corners[0], corners[1], corners[2], corners[3], fx, fy)
+        corners[0]
+            .lerp(corners[1], fx)
+            .lerp(corners[2].lerp(corners[3], fx), fy)
     };
 
-    let (t00, t10, t01, t11, fx, fy) = level_parents(fine, 1);
-    let c_fine = t00.lerp(t10, fx).lerp(t01.lerp(t11, fx), fy);
+    let c_fine = level_color(fine, 1);
     if coarse == fine || w == 0.0 {
         return c_fine;
     }
-    let (s00, s10, s01, s11, gx, gy) = level_parents(coarse, 2);
-    let c_coarse = s00.lerp(s10, gx).lerp(s01.lerp(s11, gx), gy);
+    let c_coarse = level_color(coarse, 2);
     c_fine.lerp(c_coarse, w)
 }
 
@@ -442,223 +470,186 @@ pub fn average_children(
     acc * (1.0 / offsets.len().max(1) as f32)
 }
 
-// --- lane kernels (`KernelMode::Lanes`) -------------------------------
-//
-// Each `*_lanes` function below is the vectorized twin of the scalar
-// kernel of the same name: identical fetches in identical order and a
-// bit-identical color. Three mechanical transformations are applied, all
-// value-preserving:
-//
-// 1. *Interior fast path* — when a kernel's whole texel footprint lies
-//    inside the image, the wrap fold is the identity, so the expensive
-//    `rem_euclid` per coordinate is skipped. Border footprints fall back
-//    to the exact wrapped reads.
-// 2. *Table-driven unpack* — `PackedRgba::to_rgba_fast` replaces four
-//    `u8 → f32` divisions per texel with loads of the identical
-//    precomputed quotients.
-// 3. *Channel-major lanes* — the four RGBA channels ride the four lanes
-//    of an `F32x4`, whose `lerp`/`add`/`mul` apply the scalar formula
-//    per lane in the scalar order (no reassociation, no FMA).
-//
-// The equivalence tests at the bottom of this file assert bit-identity
-// against the scalar kernels across interior, border, and degenerate
-// footprints.
+/// The straightforward filters the kernels above must reproduce bit for
+/// bit: every tap wraps both coordinates with [`WrapMode::wrap`] and reads
+/// through [`TextureImage::texel`](crate::image::TextureImage::texel),
+/// probe offsets are materialized in a `Vec`, and no footprint takes a
+/// fast path. Test-only: the kernels' yardstick.
+///
+/// [`WrapMode::wrap`]: crate::image::WrapMode::wrap
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{bilinear_setup, probe_offsets_into, FetchSink, TexelFetch};
+    use crate::footprint::Footprint;
+    use crate::mipmap::MippedTexture;
+    use pimgfx_types::{Rgba, Vec2};
 
-/// [`texel_at`] with the interior fast path and table unpack —
-/// bit-identical values for every coordinate.
-#[inline]
-pub fn texel_at_fast(tex: &MippedTexture, x: i64, y: i64, level: usize) -> Rgba {
-    let img = tex.level(level);
-    if x >= 0 && y >= 0 && x < i64::from(img.width()) && y < i64::from(img.height()) {
-        return img.texel_fast(x as u32, y as u32);
-    }
-    let wrap = tex.wrap();
-    img.texel_fast(wrap.wrap(x, img.width()), wrap.wrap(y, img.height()))
-}
-
-/// Lane-kernel variant of [`bilinear_at`]: the same four fetches in the
-/// same `t00 t10 t01 t11` order and a bit-identical color.
-pub fn bilinear_at_lanes(
-    tex: &MippedTexture,
-    uv: Vec2,
-    level: usize,
-    offset: (i64, i64),
-    fetches: &mut impl FetchSink,
-) -> Rgba {
-    let img = tex.level(level);
-    let uv_texels = Vec2::new(uv.x * img.width() as f32, uv.y * img.height() as f32);
-    let (x0, y0, fx, fy) = bilinear_setup(uv_texels);
-    let (x0, y0) = (x0 + offset.0, y0 + offset.1);
-    let interior =
-        x0 >= 0 && y0 >= 0 && x0 + 1 < i64::from(img.width()) && y0 + 1 < i64::from(img.height());
-    let [t00, t10, t01, t11] = if interior {
-        let (x, y) = (x0 as u32, y0 as u32);
-        let level = level as u8;
-        fetches.record(TexelFetch { x, y, level });
-        fetches.record(TexelFetch { x: x + 1, y, level });
-        fetches.record(TexelFetch { x, y: y + 1, level });
-        fetches.record(TexelFetch {
-            x: x + 1,
-            y: y + 1,
-            level,
-        });
-        img.gather2x2_fast(x, y)
-    } else {
-        // Border: fold each axis once, then derive the `+1` neighbor via
-        // `wrap_succ` — two `rem_euclid` divisions instead of eight, same
-        // wrapped indices, same fetch order.
+    pub(crate) fn texel_at(tex: &MippedTexture, x: i64, y: i64, level: usize) -> Rgba {
+        let img = tex.level(level);
         let wrap = tex.wrap();
-        let (w, h) = (img.width(), img.height());
-        let wx0 = wrap.wrap(x0, w);
-        let wy0 = wrap.wrap(y0, h);
-        let wx1 = wrap.wrap_succ(wx0, x0, w);
-        let wy1 = wrap.wrap_succ(wy0, y0, h);
-        let level8 = level as u8;
-        let mut tap = |x: u32, y: u32| {
-            fetches.record(TexelFetch {
-                x,
-                y,
-                level: level8,
-            });
-            img.texel_fast(x, y)
-        };
-        [tap(wx0, wy0), tap(wx1, wy0), tap(wx0, wy1), tap(wx1, wy1)]
-    };
-    let top = F32x4::from_rgba(t00).lerp(F32x4::from_rgba(t10), fx);
-    let bot = F32x4::from_rgba(t01).lerp(F32x4::from_rgba(t11), fx);
-    top.lerp(bot, fy).to_rgba()
-}
-
-/// Lane-kernel variant of [`trilinear`].
-pub fn trilinear_lanes(
-    tex: &MippedTexture,
-    uv: Vec2,
-    lod: f32,
-    fetches: &mut impl FetchSink,
-) -> Rgba {
-    let fp = Footprint {
-        lod,
-        aniso_ratio: 1,
-        major_axis: Vec2::new(1.0, 0.0),
-        major_len: 0.0,
-    };
-    let (fine, coarse, w) = fp.mip_levels(tex.max_level());
-    let c_fine = bilinear_at_lanes(tex, uv, fine, (0, 0), fetches);
-    if coarse == fine || w == 0.0 {
-        return c_fine;
+        img.texel(wrap.wrap(x, img.width()), wrap.wrap(y, img.height()))
     }
-    let c_coarse = bilinear_at_lanes(tex, uv, coarse, (0, 0), fetches);
-    c_fine.lerp(c_coarse, w)
-}
 
-/// Lane-kernel variant of [`anisotropic_conventional`]. On top of the
-/// lane bilinear taps, the probe loop streams offsets from
-/// `probe_plan` instead of materializing a `Vec`, and the probe
-/// accumulator rides an [`F32x4`] — per-channel accumulation order is
-/// unchanged, so the average is bit-identical.
-pub fn anisotropic_conventional_lanes(
-    tex: &MippedTexture,
-    uv: Vec2,
-    fp: &Footprint,
-    fetches: &mut impl FetchSink,
-) -> Rgba {
-    let (fine, coarse, w) = fp.mip_levels(tex.max_level());
-    let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
-    let (n, step) = probe_plan(fp, fp.aniso_ratio, fine_scale);
-    let two_level = coarse != fine && w != 0.0;
-    let mut acc = F32x4::ZERO;
-    for i in 0..n {
-        let (dx, dy) = probe_offset(fp, n, step, i);
-        let c_fine = bilinear_at_lanes(tex, uv, fine, (dx, dy), fetches);
-        let c = if two_level {
-            let c_coarse = bilinear_at_lanes(tex, uv, coarse, (dx / 2, dy / 2), fetches);
-            c_fine.lerp(c_coarse, w)
-        } else {
-            c_fine
-        };
-        acc = acc + F32x4::from_rgba(c);
+    fn read_texel(
+        tex: &MippedTexture,
+        x: i64,
+        y: i64,
+        level: usize,
+        fetches: &mut impl FetchSink,
+    ) -> Rgba {
+        let img = tex.level(level);
+        let wrap = tex.wrap();
+        let wx = wrap.wrap(x, img.width());
+        let wy = wrap.wrap(y, img.height());
+        fetches.record(TexelFetch {
+            x: wx,
+            y: wy,
+            level: level as u8,
+        });
+        img.texel(wx, wy)
     }
-    (acc * (1.0 / n.max(1) as f32)).to_rgba()
-}
 
-/// Lane-kernel variant of [`anisotropic_reordered`]: same parent
-/// fetches, same child-read count, bit-identical color.
-pub fn anisotropic_reordered_lanes(
-    tex: &MippedTexture,
-    uv: Vec2,
-    fp: &Footprint,
-    parent_fetches: &mut impl FetchSink,
-    child_reads: &mut u64,
-) -> Rgba {
-    let (fine, coarse, w) = fp.mip_levels(tex.max_level());
-    let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
-    let (n, step) = probe_plan(fp, fp.aniso_ratio, fine_scale);
+    pub(crate) fn point(
+        tex: &MippedTexture,
+        uv: Vec2,
+        level: usize,
+        fetches: &mut impl FetchSink,
+    ) -> Rgba {
+        let img = tex.level(level);
+        let x = (uv.x * img.width() as f32).floor() as i64;
+        let y = (uv.y * img.height() as f32).floor() as i64;
+        read_texel(tex, x, y, level, fetches)
+    }
 
-    let mut level_parents = |level: usize, div: i64| -> (F32x4, F32x4, F32x4, F32x4, f32, f32) {
+    pub(crate) fn bilinear_at(
+        tex: &MippedTexture,
+        uv: Vec2,
+        level: usize,
+        offset: (i64, i64),
+        fetches: &mut impl FetchSink,
+    ) -> Rgba {
         let img = tex.level(level);
         let uv_texels = Vec2::new(uv.x * img.width() as f32, uv.y * img.height() as f32);
         let (x0, y0, fx, fy) = bilinear_setup(uv_texels);
-        let mut corners = [F32x4::ZERO; 4];
-        let corner_off = [(0i64, 0i64), (1, 0), (0, 1), (1, 1)];
-        for (ci, &(cx, cy)) in corner_off.iter().enumerate() {
-            let mut acc = F32x4::ZERO;
-            for i in 0..n {
-                let (dx, dy) = probe_offset(fp, n, step, i);
-                // Child reads happen inside the averaging unit: they are
-                // counted, not recorded as external fetches.
-                acc = acc
-                    + F32x4::from_rgba(texel_at_fast(
-                        tex,
-                        x0 + cx + dx / div,
-                        y0 + cy + dy / div,
-                        level,
-                    ));
-                *child_reads += 1;
-            }
-            corners[ci] = acc * (1.0 / n as f32);
-            // The *parent* fetch recorded on the GPU side is the
-            // unshifted corner texel.
-            let wrap = tex.wrap();
-            parent_fetches.record(TexelFetch {
-                x: wrap.wrap(x0 + cx, img.width()),
-                y: wrap.wrap(y0 + cy, img.height()),
-                level: level as u8,
-            });
+        let (x0, y0) = (x0 + offset.0, y0 + offset.1);
+        let t00 = read_texel(tex, x0, y0, level, fetches);
+        let t10 = read_texel(tex, x0 + 1, y0, level, fetches);
+        let t01 = read_texel(tex, x0, y0 + 1, level, fetches);
+        let t11 = read_texel(tex, x0 + 1, y0 + 1, level, fetches);
+        t00.lerp(t10, fx).lerp(t01.lerp(t11, fx), fy)
+    }
+
+    pub(crate) fn trilinear(
+        tex: &MippedTexture,
+        uv: Vec2,
+        lod: f32,
+        fetches: &mut impl FetchSink,
+    ) -> Rgba {
+        let fp = Footprint {
+            lod,
+            aniso_ratio: 1,
+            major_axis: Vec2::new(1.0, 0.0),
+            major_len: 0.0,
+        };
+        let (fine, coarse, w) = fp.mip_levels(tex.max_level());
+        let c_fine = bilinear_at(tex, uv, fine, (0, 0), fetches);
+        if coarse == fine || w == 0.0 {
+            return c_fine;
         }
-        (corners[0], corners[1], corners[2], corners[3], fx, fy)
-    };
-
-    let (t00, t10, t01, t11, fx, fy) = level_parents(fine, 1);
-    let c_fine = t00.lerp(t10, fx).lerp(t01.lerp(t11, fx), fy);
-    if coarse == fine || w == 0.0 {
-        return c_fine.to_rgba();
+        let c_coarse = bilinear_at(tex, uv, coarse, (0, 0), fetches);
+        c_fine.lerp(c_coarse, w)
     }
-    let (s00, s10, s01, s11, gx, gy) = level_parents(coarse, 2);
-    let c_coarse = s00.lerp(s10, gx).lerp(s01.lerp(s11, gx), gy);
-    c_fine.lerp(c_coarse, w).to_rgba()
-}
 
-/// Lane-kernel variant of [`average_children`]: the probe accumulator
-/// rides an [`F32x4`] and interior reads skip the wrap fold —
-/// bit-identical to the scalar Combination Unit arithmetic.
-pub fn average_children_lanes(
-    tex: &MippedTexture,
-    base_x: i64,
-    base_y: i64,
-    level: usize,
-    offsets: &[(i64, i64)],
-) -> Rgba {
-    let mut acc = F32x4::ZERO;
-    for &(dx, dy) in offsets {
-        acc = acc + F32x4::from_rgba(texel_at_fast(tex, base_x + dx, base_y + dy, level));
+    fn probe_offsets(fp: &Footprint, level_scale: f32) -> Vec<(i64, i64)> {
+        let mut out = Vec::new();
+        probe_offsets_into(fp, fp.aniso_ratio, level_scale, &mut out);
+        out
     }
-    (acc * (1.0 / offsets.len().max(1) as f32)).to_rgba()
+
+    pub(crate) fn anisotropic_conventional(
+        tex: &MippedTexture,
+        uv: Vec2,
+        fp: &Footprint,
+        fetches: &mut impl FetchSink,
+    ) -> Rgba {
+        let (fine, coarse, w) = fp.mip_levels(tex.max_level());
+        let mut acc = Rgba::TRANSPARENT;
+        let offsets = probe_offsets(fp, 1.0 / (1u32 << fine.min(31)) as f32);
+        for &(dx, dy) in &offsets {
+            let c_fine = bilinear_at(tex, uv, fine, (dx, dy), fetches);
+            let c = if coarse == fine || w == 0.0 {
+                c_fine
+            } else {
+                let c_coarse = bilinear_at(tex, uv, coarse, (dx / 2, dy / 2), fetches);
+                c_fine.lerp(c_coarse, w)
+            };
+            acc += c;
+        }
+        acc * (1.0 / offsets.len().max(1) as f32)
+    }
+
+    pub(crate) fn anisotropic_reordered(
+        tex: &MippedTexture,
+        uv: Vec2,
+        fp: &Footprint,
+        parent_fetches: &mut impl FetchSink,
+        child_reads: &mut u64,
+    ) -> Rgba {
+        let (fine, coarse, w) = fp.mip_levels(tex.max_level());
+        let offsets = probe_offsets(fp, 1.0 / (1u32 << fine.min(31)) as f32);
+        let mut level_color = |level: usize, div: i64| -> Rgba {
+            let img = tex.level(level);
+            let uv_texels = Vec2::new(uv.x * img.width() as f32, uv.y * img.height() as f32);
+            let (x0, y0, fx, fy) = bilinear_setup(uv_texels);
+            let mut corners = [Rgba::TRANSPARENT; 4];
+            for (ci, (cx, cy)) in [(0i64, 0i64), (1, 0), (0, 1), (1, 1)]
+                .into_iter()
+                .enumerate()
+            {
+                let mut acc = Rgba::TRANSPARENT;
+                for &(dx, dy) in &offsets {
+                    acc += texel_at(tex, x0 + cx + dx / div, y0 + cy + dy / div, level);
+                    *child_reads += 1;
+                }
+                corners[ci] = acc * (1.0 / offsets.len() as f32);
+                let wrap = tex.wrap();
+                parent_fetches.record(TexelFetch {
+                    x: wrap.wrap(x0 + cx, img.width()),
+                    y: wrap.wrap(y0 + cy, img.height()),
+                    level: level as u8,
+                });
+            }
+            corners[0]
+                .lerp(corners[1], fx)
+                .lerp(corners[2].lerp(corners[3], fx), fy)
+        };
+        let c_fine = level_color(fine, 1);
+        if coarse == fine || w == 0.0 {
+            return c_fine;
+        }
+        let c_coarse = level_color(coarse, 2);
+        c_fine.lerp(c_coarse, w)
+    }
+
+    pub(crate) fn average_children(
+        tex: &MippedTexture,
+        base_x: i64,
+        base_y: i64,
+        level: usize,
+        offsets: &[(i64, i64)],
+    ) -> Rgba {
+        let mut acc = Rgba::TRANSPARENT;
+        for &(dx, dy) in offsets {
+            acc += texel_at(tex, base_x + dx, base_y + dy, level);
+        }
+        acc * (1.0 / offsets.len().max(1) as f32)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::TextureImage;
+    use crate::image::{TextureImage, WrapMode};
 
     fn gradient_tex() -> MippedTexture {
         MippedTexture::with_full_chain(TextureImage::from_fn(16, 16, |x, y| {
@@ -762,7 +753,8 @@ mod tests {
     #[test]
     fn probe_offsets_are_centered() {
         let fp = Footprint::from_derivatives(Vec2::new(8.0, 0.0), Vec2::new(0.0, 1.0), 16);
-        let offs = probe_offsets(&fp, fp.aniso_ratio, 1.0);
+        let mut offs = vec![(9i64, 9i64); 3]; // stale entries must be cleared
+        probe_offsets_into(&fp, fp.aniso_ratio, 1.0, &mut offs);
         assert_eq!(offs.len(), 8);
         let sum_x: i64 = offs.iter().map(|o| o.0).sum();
         assert_eq!(sum_x, 0, "offsets are symmetric");
@@ -899,17 +891,9 @@ mod tests {
         assert_eq!(vec.as_slice(), set.fetches());
     }
 
-    #[test]
-    fn probe_offsets_into_matches_probe_offsets() {
-        let fp = Footprint::from_derivatives(Vec2::new(8.0, 0.0), Vec2::new(0.0, 1.0), 16);
-        let mut scratch = vec![(9i64, 9i64); 3]; // stale garbage must be cleared
-        probe_offsets_into(&fp, fp.aniso_ratio, 1.0, &mut scratch);
-        assert_eq!(scratch, probe_offsets(&fp, fp.aniso_ratio, 1.0));
-    }
-
     /// UV positions that exercise interior footprints, all four borders
     /// (where the wrap fold is live), and out-of-range coordinates.
-    fn lane_test_uvs() -> Vec<Vec2> {
+    fn kernel_test_uvs() -> Vec<Vec2> {
         vec![
             Vec2::new(0.5, 0.5),
             Vec2::new(0.13, 0.77),
@@ -922,6 +906,18 @@ mod tests {
         ]
     }
 
+    /// Every test texture under every wrap mode, so the `Clamp` and
+    /// `Mirror` border branches are compared as well as `Repeat`'s.
+    fn kernel_test_textures() -> Vec<MippedTexture> {
+        let mut out = Vec::new();
+        for wrap in [WrapMode::Repeat, WrapMode::Clamp, WrapMode::Mirror] {
+            for tex in [gradient_tex(), checker_tex()] {
+                out.push(tex.with_wrap(wrap));
+            }
+        }
+        out
+    }
+
     fn assert_rgba_bits_eq(a: Rgba, b: Rgba, ctx: &str) {
         assert_eq!(a.r.to_bits(), b.r.to_bits(), "r differs: {ctx}");
         assert_eq!(a.g.to_bits(), b.g.to_bits(), "g differs: {ctx}");
@@ -929,21 +925,39 @@ mod tests {
         assert_eq!(a.a.to_bits(), b.a.to_bits(), "a differs: {ctx}");
     }
 
-    /// The lane bilinear must match the scalar reference bit-for-bit —
-    /// color AND recorded fetch sequence — on interior and border
-    /// footprints alike.
     #[test]
-    fn lanes_bilinear_bit_identical_to_scalar() {
-        for tex in [gradient_tex(), checker_tex()] {
-            for uv in lane_test_uvs() {
-                for level in [0usize, 1, 2] {
+    fn point_bit_identical_to_reference() {
+        for tex in kernel_test_textures() {
+            for uv in kernel_test_uvs() {
+                for level in [0usize, 1, 4] {
+                    let ctx = format!("{:?} {uv:?} L{level}", tex.wrap());
+                    let mut fr = Vec::new();
+                    let r = reference::point(&tex, uv, level, &mut fr);
+                    let mut fk = Vec::new();
+                    let k = point(&tex, uv, level, &mut fk);
+                    assert_rgba_bits_eq(r, k, &ctx);
+                    assert_eq!(fr, fk, "fetch trace differs: {ctx}");
+                }
+            }
+        }
+    }
+
+    /// The bilinear kernel must match the reference bit-for-bit — color
+    /// AND recorded fetch sequence — on interior and border footprints
+    /// alike.
+    #[test]
+    fn bilinear_bit_identical_to_reference() {
+        for tex in kernel_test_textures() {
+            for uv in kernel_test_uvs() {
+                for level in [0usize, 1, 2, 4] {
                     for offset in [(0i64, 0i64), (3, 0), (-2, 1), (40, -40)] {
-                        let mut fs = Vec::new();
-                        let s = bilinear_at(&tex, uv, level, offset, &mut fs);
-                        let mut fl = Vec::new();
-                        let l = bilinear_at_lanes(&tex, uv, level, offset, &mut fl);
-                        assert_rgba_bits_eq(s, l, &format!("{uv:?} L{level} {offset:?}"));
-                        assert_eq!(fs, fl, "fetch trace differs at {uv:?} L{level}");
+                        let ctx = format!("{:?} {uv:?} L{level} {offset:?}", tex.wrap());
+                        let mut fr = Vec::new();
+                        let r = reference::bilinear_at(&tex, uv, level, offset, &mut fr);
+                        let mut fk = Vec::new();
+                        let k = bilinear_at(&tex, uv, level, offset, &mut fk);
+                        assert_rgba_bits_eq(r, k, &ctx);
+                        assert_eq!(fr, fk, "fetch trace differs: {ctx}");
                     }
                 }
             }
@@ -951,78 +965,90 @@ mod tests {
     }
 
     #[test]
-    fn lanes_trilinear_bit_identical_to_scalar() {
-        let tex = checker_tex();
-        for uv in lane_test_uvs() {
-            for lod in [0.0f32, 0.4, 1.0, 2.7, 99.0] {
-                let mut fs = Vec::new();
-                let s = trilinear(&tex, uv, lod, &mut fs);
-                let mut fl = Vec::new();
-                let l = trilinear_lanes(&tex, uv, lod, &mut fl);
-                assert_rgba_bits_eq(s, l, &format!("{uv:?} lod {lod}"));
-                assert_eq!(fs, fl);
+    fn trilinear_bit_identical_to_reference() {
+        for tex in kernel_test_textures() {
+            for uv in kernel_test_uvs() {
+                for lod in [0.0f32, 0.4, 1.0, 2.7, 99.0] {
+                    let ctx = format!("{:?} {uv:?} lod {lod}", tex.wrap());
+                    let mut fr = Vec::new();
+                    let r = reference::trilinear(&tex, uv, lod, &mut fr);
+                    let mut fk = Vec::new();
+                    let k = trilinear(&tex, uv, lod, &mut fk);
+                    assert_rgba_bits_eq(r, k, &ctx);
+                    assert_eq!(fr, fk, "fetch trace differs: {ctx}");
+                }
             }
         }
     }
 
     #[test]
-    fn lanes_aniso_conventional_bit_identical_to_scalar() {
-        for tex in [gradient_tex(), checker_tex()] {
+    fn aniso_conventional_bit_identical_to_reference() {
+        for tex in kernel_test_textures() {
             for (dx, dy) in [(8.0, 1.0), (4.0, 0.5), (16.0, 2.0), (2.0, 2.0), (1.0, 1.0)] {
                 let fp = Footprint::from_derivatives(Vec2::new(dx, 0.0), Vec2::new(0.0, dy), 16);
-                for uv in lane_test_uvs() {
-                    let mut fs = Vec::new();
-                    let s = anisotropic_conventional(&tex, uv, &fp, &mut fs);
-                    let mut fl = Vec::new();
-                    let l = anisotropic_conventional_lanes(&tex, uv, &fp, &mut fl);
-                    assert_rgba_bits_eq(s, l, &format!("{uv:?} fp ({dx},{dy})"));
-                    assert_eq!(fs, fl, "fetch trace differs at {uv:?} fp ({dx},{dy})");
+                for uv in kernel_test_uvs() {
+                    let ctx = format!("{:?} {uv:?} fp ({dx},{dy})", tex.wrap());
+                    let mut fr = Vec::new();
+                    let r = reference::anisotropic_conventional(&tex, uv, &fp, &mut fr);
+                    let mut fk = Vec::new();
+                    let k = anisotropic_conventional(&tex, uv, &fp, &mut fk);
+                    assert_rgba_bits_eq(r, k, &ctx);
+                    assert_eq!(fr, fk, "fetch trace differs: {ctx}");
                 }
             }
         }
     }
 
     #[test]
-    fn lanes_aniso_reordered_bit_identical_to_scalar() {
-        for tex in [gradient_tex(), checker_tex()] {
+    fn aniso_reordered_bit_identical_to_reference() {
+        for tex in kernel_test_textures() {
             for (dx, dy) in [(8.0, 1.0), (4.0, 0.5), (2.0, 2.0)] {
                 let fp = Footprint::from_derivatives(Vec2::new(dx, 0.0), Vec2::new(0.0, dy), 16);
-                for uv in lane_test_uvs() {
-                    let mut fs = Vec::new();
-                    let mut cs = 0u64;
-                    let s = anisotropic_reordered(&tex, uv, &fp, &mut fs, &mut cs);
-                    let mut fl = Vec::new();
-                    let mut cl = 0u64;
-                    let l = anisotropic_reordered_lanes(&tex, uv, &fp, &mut fl, &mut cl);
-                    assert_rgba_bits_eq(s, l, &format!("{uv:?} fp ({dx},{dy})"));
-                    assert_eq!(fs, fl, "parent fetches differ");
-                    assert_eq!(cs, cl, "child-read count differs");
+                for uv in kernel_test_uvs() {
+                    let ctx = format!("{:?} {uv:?} fp ({dx},{dy})", tex.wrap());
+                    let (mut fr, mut cr) = (Vec::new(), 0u64);
+                    let r = reference::anisotropic_reordered(&tex, uv, &fp, &mut fr, &mut cr);
+                    let (mut fk, mut ck) = (Vec::new(), 0u64);
+                    let k = anisotropic_reordered(&tex, uv, &fp, &mut fk, &mut ck);
+                    assert_rgba_bits_eq(r, k, &ctx);
+                    assert_eq!(fr, fk, "parent fetches differ: {ctx}");
+                    assert_eq!(cr, ck, "child-read count differs: {ctx}");
                 }
             }
         }
     }
 
     #[test]
-    fn lanes_average_children_bit_identical_to_scalar() {
-        let tex = checker_tex();
+    fn average_children_bit_identical_to_reference() {
         let offsets = [(0i64, 0i64), (2, 0), (-3, 1), (50, -50)];
-        for (bx, by) in [(4i64, 4i64), (0, 0), (-2, 31), (31, 31)] {
-            for take in [1usize, 2, 4] {
-                let s = average_children(&tex, bx, by, 0, &offsets[..take]);
-                let l = average_children_lanes(&tex, bx, by, 0, &offsets[..take]);
-                assert_rgba_bits_eq(s, l, &format!("base ({bx},{by}) n {take}"));
+        for tex in kernel_test_textures() {
+            for (bx, by) in [(4i64, 4i64), (0, 0), (-2, 31), (31, 31)] {
+                for take in [1usize, 2, 4] {
+                    let r = reference::average_children(&tex, bx, by, 0, &offsets[..take]);
+                    let k = average_children(&tex, bx, by, 0, &offsets[..take]);
+                    let ctx = format!("{:?} base ({bx},{by}) n {take}", tex.wrap());
+                    assert_rgba_bits_eq(r, k, &ctx);
+                }
             }
         }
     }
 
     #[test]
-    fn texel_at_fast_bit_identical_to_texel_at() {
-        let tex = gradient_tex();
-        for (x, y) in [(0i64, 0i64), (15, 15), (-1, 7), (16, 3), (-20, 40)] {
-            for level in [0usize, 2] {
-                let s = texel_at(&tex, x, y, level);
-                let l = texel_at_fast(&tex, x, y, level);
-                assert_rgba_bits_eq(s, l, &format!("({x},{y}) L{level}"));
+    fn texel_at_bit_identical_to_reference() {
+        for tex in kernel_test_textures() {
+            for (x, y) in [
+                (0i64, 0i64),
+                (15, 15),
+                (-1, 7),
+                (16, 3),
+                (-20, 40),
+                (31, -33),
+            ] {
+                for level in [0usize, 2, 4] {
+                    let r = reference::texel_at(&tex, x, y, level);
+                    let k = texel_at(&tex, x, y, level);
+                    assert_rgba_bits_eq(r, k, &format!("{:?} ({x},{y}) L{level}", tex.wrap()));
+                }
             }
         }
     }

@@ -1,15 +1,14 @@
 //! Sampler configuration and the user-facing sampling entry point.
 
 use crate::filter::{
-    anisotropic_conventional, anisotropic_conventional_lanes, anisotropic_reordered,
-    anisotropic_reordered_lanes, bilinear, bilinear_at_lanes, point, trilinear, trilinear_lanes,
-    FetchSet, FilterMode, SampleTrace,
+    anisotropic_conventional, anisotropic_reordered, bilinear, point, trilinear, FetchSet,
+    FilterMode, SampleTrace,
 };
 use crate::footprint::Footprint;
 use crate::mipmap::MippedTexture;
-use pimgfx_types::{KernelMode, Vec2};
+use pimgfx_types::Vec2;
 
-/// Sampler state: filter mode, anisotropy cap, kernel implementation.
+/// Sampler state: filter mode, anisotropy cap, filtering order.
 ///
 /// Matches the knobs the paper sweeps — `max_aniso = 1` reproduces the
 /// "anisotropic filtering disabled" experiment of Fig. 4, and
@@ -23,10 +22,6 @@ pub struct SamplerConfig {
     /// When true, run anisotropic averaging *first* (the A-TFIM order of
     /// Fig. 7B); the sample trace then records parent fetches only.
     pub reordered: bool,
-    /// Which kernel implementation [`Sampler::sample_into`] runs: the
-    /// scalar reference or the bit-identical lane kernels. Defaults to
-    /// [`KernelMode::active`] (flipped by the `simd` cargo feature).
-    pub kernels: KernelMode,
 }
 
 impl Default for SamplerConfig {
@@ -35,7 +30,6 @@ impl Default for SamplerConfig {
             filter: FilterMode::Anisotropic,
             max_aniso: 16,
             reordered: false,
-            kernels: KernelMode::active(),
         }
     }
 }
@@ -108,77 +102,20 @@ impl Sampler {
     ///
     /// Returns the filtered color plus the texel-fetch trace used by the
     /// timing layer.
-    ///
-    /// This entry point always runs the **scalar reference kernels**
-    /// regardless of [`SamplerConfig::kernels`] — it is the yardstick
-    /// the lane kernels are tested against (see
-    /// `sample_into_matches_sample_across_modes`, which with
-    /// `kernels = Lanes` becomes the lane/scalar equivalence check).
     pub fn sample(&self, tex: &MippedTexture, uv: Vec2, duv_dx: Vec2, duv_dy: Vec2) -> SampleTrace {
-        let fp = self.footprint(duv_dx, duv_dy);
-        let mut fetches = Vec::new();
-        match self.config.filter {
-            FilterMode::Point => {
-                let (fine, _, _) = fp.mip_levels(tex.max_level());
-                let color = point(tex, uv, fine, &mut fetches);
-                SampleTrace {
-                    color,
-                    conventional_texels: fetches.len() as u32,
-                    fetches,
-                    aniso_ratio: 1,
-                }
-            }
-            FilterMode::Bilinear => {
-                let (fine, _, _) = fp.mip_levels(tex.max_level());
-                let color = bilinear(tex, uv, fine, &mut fetches);
-                SampleTrace {
-                    color,
-                    conventional_texels: fetches.len() as u32,
-                    fetches,
-                    aniso_ratio: 1,
-                }
-            }
-            FilterMode::Trilinear => {
-                let color = trilinear(tex, uv, fp.lod, &mut fetches);
-                SampleTrace {
-                    color,
-                    conventional_texels: fetches.len() as u32,
-                    fetches,
-                    aniso_ratio: 1,
-                }
-            }
-            FilterMode::Anisotropic => {
-                if self.config.reordered {
-                    let mut children = 0;
-                    let color = anisotropic_reordered(tex, uv, &fp, &mut fetches, &mut children);
-                    SampleTrace {
-                        color,
-                        conventional_texels: children as u32,
-                        fetches,
-                        aniso_ratio: fp.aniso_ratio,
-                    }
-                } else {
-                    let color = anisotropic_conventional(tex, uv, &fp, &mut fetches);
-                    // ALU work is one read+MAC per probe texel, *including*
-                    // re-reads of texels shared between probes (the fetch
-                    // list is deduplicated for the memory side only).
-                    let (fine, coarse, w) = fp.mip_levels(tex.max_level());
-                    let levels = if coarse == fine || w == 0.0 { 1 } else { 2 };
-                    SampleTrace {
-                        color,
-                        conventional_texels: fp.aniso_ratio * 4 * levels,
-                        fetches,
-                        aniso_ratio: fp.aniso_ratio,
-                    }
-                }
-            }
+        let mut fetches = FetchSet::new();
+        let info = self.sample_into(tex, uv, duv_dx, duv_dy, &mut fetches);
+        SampleTrace {
+            color: info.color,
+            fetches: fetches.fetches().to_vec(),
+            conventional_texels: info.conventional_texels,
+            aniso_ratio: info.aniso_ratio,
         }
     }
 
     /// [`Sampler::sample`] writing its fetch trace into a caller-provided
     /// [`FetchSet`] (cleared first) instead of allocating a `Vec` — the
-    /// simulator's per-fragment hot path. The recorded fetches and the
-    /// returned scalars are identical to [`Sampler::sample`]'s.
+    /// simulator's per-fragment hot path.
     pub fn sample_into(
         &self,
         tex: &MippedTexture,
@@ -189,7 +126,6 @@ impl Sampler {
     ) -> SampleInfo {
         fetches.clear();
         let fp = self.footprint(duv_dx, duv_dy);
-        let lanes = self.config.kernels.is_lanes();
         match self.config.filter {
             FilterMode::Point => {
                 let (fine, _, _) = fp.mip_levels(tex.max_level());
@@ -202,11 +138,7 @@ impl Sampler {
             }
             FilterMode::Bilinear => {
                 let (fine, _, _) = fp.mip_levels(tex.max_level());
-                let color = if lanes {
-                    bilinear_at_lanes(tex, uv, fine, (0, 0), fetches)
-                } else {
-                    bilinear(tex, uv, fine, fetches)
-                };
+                let color = bilinear(tex, uv, fine, fetches);
                 SampleInfo {
                     color,
                     conventional_texels: fetches.len() as u32,
@@ -214,11 +146,7 @@ impl Sampler {
                 }
             }
             FilterMode::Trilinear => {
-                let color = if lanes {
-                    trilinear_lanes(tex, uv, fp.lod, fetches)
-                } else {
-                    trilinear(tex, uv, fp.lod, fetches)
-                };
+                let color = trilinear(tex, uv, fp.lod, fetches);
                 SampleInfo {
                     color,
                     conventional_texels: fetches.len() as u32,
@@ -228,22 +156,17 @@ impl Sampler {
             FilterMode::Anisotropic => {
                 if self.config.reordered {
                     let mut children = 0;
-                    let color = if lanes {
-                        anisotropic_reordered_lanes(tex, uv, &fp, fetches, &mut children)
-                    } else {
-                        anisotropic_reordered(tex, uv, &fp, fetches, &mut children)
-                    };
+                    let color = anisotropic_reordered(tex, uv, &fp, fetches, &mut children);
                     SampleInfo {
                         color,
                         conventional_texels: children as u32,
                         aniso_ratio: fp.aniso_ratio,
                     }
                 } else {
-                    let color = if lanes {
-                        anisotropic_conventional_lanes(tex, uv, &fp, fetches)
-                    } else {
-                        anisotropic_conventional(tex, uv, &fp, fetches)
-                    };
+                    let color = anisotropic_conventional(tex, uv, &fp, fetches);
+                    // ALU work is one read+MAC per probe texel, *including*
+                    // re-reads of texels shared between probes (the fetch
+                    // list is deduplicated for the memory side only).
                     let (fine, coarse, w) = fp.mip_levels(tex.max_level());
                     let levels = if coarse == fine || w == 0.0 { 1 } else { 2 };
                     SampleInfo {
@@ -380,19 +303,12 @@ mod tests {
             FilterMode::Trilinear,
             FilterMode::Anisotropic,
         ] {
-            // `sample` always runs the scalar reference, so with
-            // `kernels = Lanes` this doubles as the lane/scalar
-            // bit-equality check at the sampler level.
-            for (reordered, kernels) in [
-                (false, KernelMode::Scalar),
-                (true, KernelMode::Scalar),
-                (false, KernelMode::Lanes),
-                (true, KernelMode::Lanes),
-            ] {
+            // One reused set across every mode: `sample_into` must clear
+            // it, and `sample` must copy out exactly what was recorded.
+            for reordered in [false, true] {
                 let s = Sampler::new(SamplerConfig {
                     filter,
                     reordered,
-                    kernels,
                     ..SamplerConfig::default()
                 });
                 for (uv, dx, dy) in [
