@@ -48,7 +48,9 @@
 pub mod manifest;
 pub mod pool;
 
-use pimgfx::{Design, FragmentStreamCache, FrontendCacheStats, RenderReport, SimConfig, Simulator};
+use pimgfx::{
+    Design, FragmentStreamCache, FrontendCacheStats, RenderReport, SampleKey, SimConfig, Simulator,
+};
 use pimgfx_quality::psnr;
 use pimgfx_types::{ConfigError, Error, FxHashSet, Result};
 use pimgfx_workloads::{Game, Resolution, SceneCache, SceneTrace, Workload};
@@ -301,7 +303,9 @@ impl SweepStats {
 /// Wall-clock split of one simulated cell: time spent obtaining the
 /// variant-invariant frontend artifact (the [`pimgfx::FragmentStream`];
 /// near zero on a stream-cache hit) versus time spent in the
-/// variant-specific backend replay. Surfaced per cell in the run
+/// variant-specific backend replay. A cell replayed in a variant batch
+/// is charged an even share of the batch's split, so the cells of a
+/// fan-out still sum to its work. Surfaced per cell in the run
 /// manifest (schema v3).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WallSplit {
@@ -542,7 +546,11 @@ impl Harness {
             // One cell on the calling thread: the whole budget is
             // available to the lane level.
             let lanes = self.replay_lanes(1)?;
-            let (report, wall) = simulate_cell(&scene, variant, &self.streams, lanes)?;
+            let (mut reports, wall) =
+                simulate_batch(&scene, &[variant.config()?], &self.streams, lanes)?;
+            let report = reports.pop().ok_or_else(|| {
+                ConfigError::new("harness", "a one-cell batch returned no report")
+            })?;
             self.walls
                 .insert((Self::column_label(workload, res), variant.label()), wall);
             self.reports.insert(key.clone(), report);
@@ -555,18 +563,23 @@ impl Harness {
     /// Fans every not-yet-memoized cell of `sweep` out across the
     /// worker [`pool`] and memoizes the results.
     ///
-    /// Cells are deduplicated (first occurrence wins) and scheduled
-    /// dynamically; unique scenes are built first — also in parallel —
-    /// so no worker ever rebuilds a column another variant already
-    /// needs. The merge is deterministic (input order), which together
-    /// with the serial printers makes parallel output byte-identical to
-    /// serial output.
+    /// Cells are deduplicated (first occurrence wins); unique scenes are
+    /// built first — also in parallel — so no worker ever rebuilds a
+    /// column another variant already needs. Each column's cells are
+    /// then grouped by [`SampleKey`] and replayed in
+    /// batches that share one sampling pass
+    /// ([`Simulator::render_replay_batch`]); cells with equal
+    /// configurations (`a-tfim` and `a-tfim@0.01pi`) share one
+    /// simulator and each keeps a copy of its report. Batches are
+    /// scheduled dynamically. The merge is deterministic (input order),
+    /// which together with the serial printers makes parallel output
+    /// byte-identical to serial output.
     ///
     /// # Errors
     ///
-    /// Propagates the first configuration or simulation failure, in
-    /// cell order; reports from cells before the failing one stay
-    /// memoized.
+    /// Propagates the first configuration failure before simulating
+    /// anything, then the first simulation failure in cell order;
+    /// reports from cells before the failing one stay memoized.
     pub fn precompute(&mut self, sweep: &Sweep) -> HarnessResult<SweepStats> {
         // det:boundary — sweep wall-time for SweepStats reporting only;
         // simulated cycles come from the replay, never from this clock.
@@ -574,7 +587,7 @@ impl Harness {
 
         // Deduplicate against both the sweep itself and the cache.
         let mut seen: FxHashSet<(Workload, Resolution, String)> = FxHashSet::default();
-        let mut todo: Vec<(Workload, Resolution, Variant, String)> = Vec::new();
+        let mut todo: Vec<TodoCell> = Vec::new();
         for &(w, r, v) in sweep.cells() {
             let label = v.label();
             let key = (w, r, label.clone());
@@ -612,45 +625,62 @@ impl Harness {
             w?;
         }
 
-        // Phase 2: simulate all cells. Jobs are handed to the pool in
-        // LPT order — heaviest expected cell first (longest-processing-
-        // time list scheduling) — so a straggler like an a-tfim
-        // 1280×1024 cell starts early instead of serializing the tail
-        // of the fan-out. The atomic-cursor pool pulls jobs in slice
-        // order; the scatter below restores `todo` order before any
-        // result is memoized, so downstream bytes are unaffected by the
-        // schedule.
+        // Phase 2: simulate all cells, batched. A column's cells that
+        // share a sample key replay as one batch over one shared
+        // sampling pass, and cells with equal configurations share one
+        // simulator (see `plan_batches`). Batches are handed to the pool
+        // in LPT order — heaviest expected batch first (longest-
+        // processing-time list scheduling) — so a straggler starts early
+        // instead of serializing the tail of the fan-out. The atomic-
+        // cursor pool pulls batches in slice order; the scatter below
+        // restores `todo` order before any result is memoized, so
+        // downstream bytes are unaffected by the schedule.
+        let batches = plan_batches(&todo, workers)?;
+        let workers = pool::worker_count(batches.len())?;
         let lanes = self.replay_lanes(workers)?;
-        let mut order: Vec<usize> = (0..todo.len()).collect();
-        // Stable descending sort by weight: equal-weight cells keep
-        // their sweep order, making the schedule itself deterministic.
-        order.sort_by(|&a, &b| {
-            let (_, ra, va, _) = &todo[a];
-            let (_, rb, vb, _) = &todo[b];
-            cell_cost_weight(*ra, *va)
-                .cmp(&cell_cost_weight(*rb, *vb))
-                .reverse()
-                .then(a.cmp(&b))
-        });
-        let scheduled: Vec<&(Workload, Resolution, Variant, String)> =
-            order.iter().map(|&i| &todo[i]).collect();
-        let lpt_results: Vec<HarnessResult<(RenderReport, WallSplit)>> =
-            pool::run_ordered(&scheduled, workers, |&&(w, r, v, _)| {
-                simulate_cell(&scenes.get(w, r), v, streams, lanes)
+        let batch_results: Vec<HarnessResult<(Vec<RenderReport>, WallSplit)>> =
+            pool::run_ordered(&batches, workers, |b| {
+                simulate_batch(&scenes.get(b.workload, b.res), &b.configs, streams, lanes)
             });
-        // Scatter back to sweep order.
+        // Scatter back to sweep order. Each cell of a batch is charged
+        // an even share of the batch's wall time, so the per-cell times
+        // still partition the fan-out. A failed batch reports its error
+        // at its first cell in sweep order.
         let mut results: Vec<Option<HarnessResult<(RenderReport, WallSplit)>>> =
             (0..todo.len()).map(|_| None).collect();
-        for (slot, result) in order.into_iter().zip(lpt_results) {
-            results[slot] = Some(result);
+        for (batch, result) in batches.iter().zip(batch_results) {
+            match result {
+                Ok((reports, total)) => {
+                    let share = 1.0 / batch.cells.iter().map(Vec::len).sum::<usize>() as f64;
+                    let wall = WallSplit {
+                        frontend_ms: total.frontend_ms * share,
+                        backend_ms: total.backend_ms * share,
+                        replay_lanes: total.replay_lanes,
+                    };
+                    for (report, cells) in reports.into_iter().zip(&batch.cells) {
+                        if let Some((&last, rest)) = cells.split_last() {
+                            for &cell in rest {
+                                results[cell] = Some(Ok((report.clone(), wall)));
+                            }
+                            results[last] = Some(Ok((report, wall)));
+                        }
+                    }
+                }
+                Err(e) => {
+                    if let Some(&first) = batch.cells.iter().flatten().min() {
+                        results[first] = Some(Err(e));
+                    }
+                }
+            }
         }
 
         let wall = start.elapsed();
         let cells_executed = todo.len();
         let mut lb_batch = LoadBalanceAccum::default();
         for ((w, r, v, label), result) in todo.into_iter().zip(results) {
-            // lint:allow(no-panic) — the scatter loop above writes every slot exactly once
-            let (report, wall) = result.expect("scatter filled every slot")?;
+            let (report, wall) = result.ok_or_else(|| {
+                ConfigError::new("harness", "a batch returned no report for one of its cells")
+            })??;
             let cell_ms = wall.frontend_ms + wall.backend_ms;
             lb_batch.cells += 1;
             lb_batch.sum_cell_ms += cell_ms;
@@ -803,36 +833,128 @@ fn cell_cost_weight(res: Resolution, variant: Variant) -> u64 {
     res.pixels() * class
 }
 
-/// Simulates one `(scene, variant)` cell: the worker-thread body of
-/// every sweep (each worker owns its [`Simulator`]; only the scene and
-/// the frontend stream are shared, read-only).
+/// A cell still to simulate: its column, variant and variant label.
+type TodoCell = (Workload, Resolution, Variant, String);
+
+/// One pool task of a [`Harness::precompute`] fan-out: distinct
+/// configurations of one column sharing one [`SampleKey`], replayed as
+/// one batch. `cells[i]` lists the cells (indices into the todo list)
+/// that `configs[i]` serves, and `weights[i]` its LPT cost.
+#[derive(Debug)]
+struct Batch {
+    workload: Workload,
+    res: Resolution,
+    key: SampleKey,
+    configs: Vec<SimConfig>,
+    cells: Vec<Vec<usize>>,
+    weights: Vec<u64>,
+}
+
+/// Plans the batches of a fan-out over `cells` on `workers` workers.
+///
+/// Cells are grouped by (column, [`SampleKey`]) in sweep order, and
+/// cells with equal configurations fold into one simulator. Each group
+/// then splits into near-equal contiguous batches of at most
+/// ⌈cells / (2·workers)⌉ simulators, so the pool still gets about two
+/// tasks per worker to balance. The batches come back in LPT order:
+/// heaviest summed [`cell_cost_weight`] first, ties in sweep order.
+///
+/// # Errors
+///
+/// The first cell, in sweep order, whose variant has no valid
+/// configuration.
+fn plan_batches(cells: &[TodoCell], workers: usize) -> Result<Vec<Batch>> {
+    let mut groups: Vec<Batch> = Vec::new();
+    for (i, &(workload, res, variant, _)) in cells.iter().enumerate() {
+        let config = variant.config()?;
+        let key = config.sample_key();
+        let gi = match groups
+            .iter()
+            .position(|g| g.workload == workload && g.res == res && g.key == key)
+        {
+            Some(gi) => gi,
+            None => {
+                groups.push(Batch {
+                    workload,
+                    res,
+                    key,
+                    configs: Vec::new(),
+                    cells: Vec::new(),
+                    weights: Vec::new(),
+                });
+                groups.len() - 1
+            }
+        };
+        let group = &mut groups[gi];
+        match group.configs.iter().position(|c| *c == config) {
+            Some(m) => group.cells[m].push(i),
+            None => {
+                group.configs.push(config);
+                group.cells.push(vec![i]);
+                group.weights.push(cell_cost_weight(res, variant));
+            }
+        }
+    }
+    let cap = cells.len().div_ceil(2 * workers.max(1)).max(1);
+    let mut batches: Vec<Batch> = Vec::new();
+    for g in groups {
+        let n = g.configs.len();
+        let size = n.div_ceil(n.div_ceil(cap));
+        for start in (0..n).step_by(size) {
+            let part = start..(start + size).min(n);
+            batches.push(Batch {
+                workload: g.workload,
+                res: g.res,
+                key: g.key,
+                configs: g.configs[part.clone()].to_vec(),
+                cells: g.cells[part.clone()].to_vec(),
+                weights: g.weights[part].to_vec(),
+            });
+        }
+    }
+    // Stable descending sort: equal-weight batches keep their sweep
+    // order, making the schedule itself deterministic.
+    batches.sort_by_key(|b| std::cmp::Reverse(b.weights.iter().sum::<u64>()));
+    Ok(batches)
+}
+
+/// Simulates one batch of same-key configurations on one column: the
+/// worker-thread body of every sweep (each worker owns its
+/// [`Simulator`]s; only the scene and the frontend stream are shared,
+/// read-only).
 ///
 /// The variant-invariant frontend comes from the stream cache (built on
 /// first use, replayed by every later variant of the column); the
-/// variant-specific backend replays it with `lanes` precompute lanes,
-/// which is byte-identical to a direct `render_trace` at any lane
-/// count. The returned [`WallSplit`] attributes the cell's wall time to
-/// the two passes and records the effective lane count.
-fn simulate_cell(
+/// batch replays it through [`Simulator::render_replay_batch`] with
+/// `lanes` precompute lanes, which is byte-identical to a direct
+/// `render_trace` of each configuration at any lane count. The returned
+/// [`WallSplit`] is the whole batch's wall time split between the two
+/// passes, with the effective lane count.
+fn simulate_batch(
     scene: &Arc<SceneTrace>,
-    variant: Variant,
+    configs: &[SimConfig],
     streams: &FragmentStreamCache,
     lanes: usize,
-) -> HarnessResult<(RenderReport, WallSplit)> {
-    let config = variant.config()?;
-    let mut sim = Simulator::new(config)?;
-    // Mirror the simulator's internal clamp so the manifest records the
-    // lane count the replay actually ran with.
-    let lanes_eff = lanes.clamp(1, sim.config().shader.clusters.max(1));
-    if sim.config().tile_px != streams.tile_px() {
-        // A variant binned at a different tile size cannot replay the
+) -> HarnessResult<(Vec<RenderReport>, WallSplit)> {
+    let mut sims = configs
+        .iter()
+        .map(|c| Simulator::new(c.clone()))
+        .collect::<Result<Vec<_>>>()?;
+    let Some(first) = configs.first() else {
+        return Ok((Vec::new(), WallSplit::default()));
+    };
+    if first.tile_px != streams.tile_px() {
+        // A batch binned at a different tile size cannot replay the
         // shared stream; render directly (no variant does this today).
         // det:boundary — backend wall-time for WallSplit reporting.
         let start = Instant::now();
-        let report = sim.render_trace(scene)?;
+        let reports = sims
+            .iter_mut()
+            .map(|sim| sim.render_trace(scene))
+            .collect::<Result<Vec<_>>>()?;
         let backend_ms = start.elapsed().as_secs_f64() * 1000.0;
         return Ok((
-            report,
+            reports,
             WallSplit {
                 frontend_ms: 0.0,
                 backend_ms,
@@ -840,16 +962,19 @@ fn simulate_cell(
             },
         ));
     }
+    // Mirror the simulator's internal clamp so the manifest records the
+    // lane count the replay actually ran with.
+    let lanes_eff = lanes.clamp(1, first.shader.clusters.max(1));
     // det:boundary — frontend wall-time for WallSplit reporting.
     let start = Instant::now();
     let stream = streams.get(scene)?;
     let frontend_ms = start.elapsed().as_secs_f64() * 1000.0;
     // det:boundary — backend wall-time for WallSplit reporting.
     let start = Instant::now();
-    let report = sim.render_replay_lanes(&stream, lanes_eff)?;
+    let reports = Simulator::render_replay_batch(&mut sims, &stream, lanes_eff)?;
     let backend_ms = start.elapsed().as_secs_f64() * 1000.0;
     Ok((
-        report,
+        reports,
         WallSplit {
             frontend_ms,
             backend_ms,
@@ -1182,6 +1307,91 @@ doom3,1.50
             wall: std::time::Duration::ZERO,
         };
         assert_eq!(idle.cells_per_sec(), 0.0);
+    }
+
+    fn tiny_synthetic() -> pimgfx_workloads::SyntheticSpec {
+        pimgfx_workloads::SyntheticSpec {
+            seed: 0xC0FFEE,
+            triangles: 400,
+            textures: 2,
+            texture_size: 32,
+            kind_mask: 0x3,
+            grazing_milli: 500,
+            overdraw: 1,
+            path_frames: 4,
+        }
+    }
+
+    #[test]
+    fn equal_configs_simulate_once_and_report_under_both_labels() {
+        // `a-tfim` and `a-tfim@0.01pi` build the same configuration.
+        let plain = Variant::Design(Design::ATfim);
+        let pinned = Variant::AtfimThreshold(0.01);
+        assert_ne!(plain.label(), pinned.label());
+        assert_eq!(
+            plain.config().expect("valid"),
+            pinned.config().expect("valid")
+        );
+
+        let spec = tiny_synthetic();
+        let sweep = Sweep::new().cell(spec, Resolution::R320x240, plain).cell(
+            spec,
+            Resolution::R320x240,
+            pinned,
+        );
+        let mut h = Harness::new(1);
+        let stats = h.precompute(&sweep).expect("sweep");
+        assert_eq!(stats.cells_executed, 2, "both memoized cells count");
+        let cells = h.report_cells();
+        assert_eq!(cells.len(), 2);
+        assert!(
+            cells[0].2 == cells[1].2,
+            "one simulation, two equal reports"
+        );
+        // The one simulation's wall time is split between the labels.
+        let column = Harness::column_label(spec, Resolution::R320x240);
+        let a = h.wall_split(&column, &plain.label()).expect("wall");
+        let b = h.wall_split(&column, &pinned.label()).expect("wall");
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn batches_group_by_column_and_sample_key() {
+        let columns = Harness::columns(true);
+        let variants: Vec<Variant> = {
+            let mut out: Vec<Variant> = Vec::new();
+            for s in SECTIONS {
+                for v in section_variants(s) {
+                    if !out.iter().any(|o| o.label() == v.label()) {
+                        out.push(v);
+                    }
+                }
+            }
+            out
+        };
+        assert_eq!(variants.len(), 12);
+        let todo: Vec<TodoCell> = Sweep::matrix(&columns, &variants)
+            .cells()
+            .iter()
+            .map(|&(w, r, v)| (w, r, v, v.label()))
+            .collect();
+        let batches = plan_batches(&todo, 2).expect("plan");
+        // Per column: {baseline, b-pim, s-tfim}, {aniso-off}, and the
+        // seven distinct A-TFIM configurations split 4 + 3 under the
+        // ⌈24 / 4⌉ = 6 cap.
+        let mut sizes: Vec<usize> = batches.iter().map(|b| b.configs.len()).collect();
+        sizes.sort_unstable();
+        assert_eq!(sizes, vec![1, 1, 3, 3, 3, 3, 4, 4]);
+        // Every cell lands in exactly one batch, every batch shares one
+        // key, and the order is LPT.
+        let mut seen: Vec<usize> = batches.iter().flat_map(|b| b.cells.concat()).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..todo.len()).collect::<Vec<_>>());
+        for b in &batches {
+            assert!(b.configs.iter().all(|c| c.sample_key() == b.key));
+        }
+        let weights: Vec<u64> = batches.iter().map(|b| b.weights.iter().sum()).collect();
+        assert!(weights.windows(2).all(|w| w[0] >= w[1]), "{weights:?}");
     }
 
     #[test]

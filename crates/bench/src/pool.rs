@@ -49,8 +49,9 @@ pub const THREADS_ENV: &str = "PIMGFX_THREADS";
 /// configuration error, same grammar as [`THREADS_ENV`]).
 ///
 /// Replay lanes are the *intra-cell* parallelism axis: inside one
-/// simulation, `Simulator::render_replay_lanes` precomputes per-cluster
-/// fragment work on `lanes` threads before the serial timing walk. The
+/// replay, `Simulator::render_replay_batch` precomputes per-cluster
+/// fragment work on `lanes` threads, one chunk of tiles ahead of the
+/// serial timing walk. The
 /// pool's cell-level fan-out and the lane level share one budget (see
 /// [`configured_replay_lanes`]) so `PIMGFX_THREADS=N` never
 /// oversubscribes the machine.

@@ -219,6 +219,74 @@ impl SimConfig {
     }
 }
 
+impl SimConfig {
+    /// The inputs of this configuration's pure sampling pass (see
+    /// [`SampleKey`]). Configurations with equal keys read identical
+    /// phase-1 sampling records off the same fragment stream, so a
+    /// [`Simulator::render_replay_batch`](crate::Simulator::render_replay_batch)
+    /// can compute those records once for all of them.
+    pub fn sample_key(&self) -> SampleKey {
+        let kind = match self.design {
+            Design::Baseline | Design::BPim | Design::STfim => RecordKind::Conventional,
+            Design::ATfim => RecordKind::Atfim,
+        };
+        SampleKey {
+            kind,
+            sampler: SamplerConfig {
+                reordered: kind == RecordKind::Atfim,
+                ..self.sampler
+            },
+            compressed_textures: self.compressed_textures,
+            hmc_cubes: self.hmc_cubes,
+            clusters: self.shader.clusters,
+            tile_px: self.tile_px,
+        }
+    }
+}
+
+/// Which phase-1 sampling record a design consumes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RecordKind {
+    /// The full conventional filter: color, texel count, anisotropy and
+    /// the per-fragment deduplicated texel lines (Baseline, B-PIM,
+    /// S-TFIM).
+    Conventional,
+    /// The A-TFIM footprint and its parent-corner records.
+    Atfim,
+}
+
+/// Everything a replay's pure sampling pass reads from the
+/// configuration: the record kind, the effective sampler settings, the
+/// texture transcode flag, the texture placement (the HMC cube count),
+/// the cluster partition and the tile size.
+///
+/// Two configurations with equal keys differ only after the sampler —
+/// in caches, the memory system or the logic layer — which is where the
+/// paper's designs and knobs differ. Baseline, B-PIM and S-TFIM share a
+/// key; so do all A-TFIM thresholds and ablations.
+///
+/// # Examples
+///
+/// ```
+/// use pimgfx::{Design, SimConfig};
+///
+/// let base = SimConfig::builder().design(Design::Baseline).build()?;
+/// let stfim = SimConfig::builder().design(Design::STfim).build()?;
+/// let atfim = SimConfig::builder().design(Design::ATfim).build()?;
+/// assert_eq!(base.sample_key(), stfim.sample_key());
+/// assert_ne!(base.sample_key(), atfim.sample_key());
+/// # Ok::<(), pimgfx_types::ConfigError>(())
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SampleKey {
+    pub(crate) kind: RecordKind,
+    pub(crate) sampler: SamplerConfig,
+    pub(crate) compressed_textures: bool,
+    pub(crate) hmc_cubes: usize,
+    pub(crate) clusters: usize,
+    pub(crate) tile_px: u32,
+}
+
 /// Builder for [`SimConfig`].
 #[derive(Debug, Clone)]
 pub struct SimConfigBuilder {

@@ -22,7 +22,15 @@
 //! increment happens in the same order with the same operands as the
 //! serial path, so the resulting [`RenderReport`](crate::RenderReport)
 //! is byte-identical **by construction** — the property the
-//! `lane_equivalence` test suite pins for every design.
+//! `lane_equivalence` and `batch_equivalence` suites pin for every
+//! design.
+//!
+//! Kind-1 work depends only on the configuration's
+//! [`SampleKey`], so one set of records serves every simulator of a
+//! batch with that key: phase 1 runs once per chunk of tiles and each
+//! simulator consumes the chunk through its own phase 2. Records are
+//! kept for one chunk at a time (two when helper threads fill the next
+//! chunk while the current one is consumed), never a whole frame.
 //!
 //! For A-TFIM the phase-1 pass is *speculative*: it computes the
 //! child-averaged value of every parent corner even though phase 2 may
@@ -31,14 +39,16 @@
 //! bit-identical to what a phase-2 recompute would produce (same
 //! kernel, same operands), so consuming them never changes results.
 
-use crate::config::SimConfig;
-use crate::design::Design;
+use crate::config::{RecordKind, SampleKey};
 use crate::stream::StreamData;
 use crate::texpath;
 use pimgfx_raster::Fragment;
 use pimgfx_shader::TileScheduler;
-use pimgfx_texture::{filter, FetchSet, MippedTexture, Sampler, SamplerConfig, TextureLayout};
+use pimgfx_texture::{filter, FetchSet, MippedTexture, Sampler, TextureLayout};
 use pimgfx_types::{Radians, Rgba};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// One precomputed A-TFIM parent corner: the wrapped texel coordinate
 /// (the functional-store key), its cache-line address, and the
@@ -96,24 +106,18 @@ pub(crate) struct AtfimPre {
 /// buffers with prefix indices so steady-state replay never allocates.
 #[derive(Debug, Default)]
 pub(crate) struct LanePre {
-    /// Per-fragment filtered color (conventional and S-TFIM designs).
+    /// Per-fragment filtered color (conventional record).
     pub colors: Vec<Rgba>,
-    /// Per-fragment texel count (conventional and S-TFIM designs).
+    /// Per-fragment texel count (conventional record).
     pub texels: Vec<u32>,
-    /// Per-fragment anisotropy ratio (conventional and S-TFIM designs).
+    /// Per-fragment anisotropy ratio (conventional record).
     pub aniso: Vec<u32>,
     /// Per-fragment prefix into [`LanePre::lines`] (conventional
-    /// designs); `line_start.len() == fragment count + 1`.
+    /// record); `line_start.len() == fragment count + 1`.
     pub line_start: Vec<u32>,
     /// Deduplicated per-fragment cache-line addresses, first-occurrence
-    /// order (conventional designs).
+    /// order (conventional record).
     pub lines: Vec<u64>,
-    /// Per-quad prefix into [`LanePre::quad_lines`] (S-TFIM);
-    /// `quad_line_start.len() == quad count + 1`.
-    pub quad_line_start: Vec<u32>,
-    /// Deduplicated per-quad request lines, first-occurrence order
-    /// (S-TFIM).
-    pub quad_lines: Vec<u64>,
     /// Per-fragment A-TFIM records.
     pub at: Vec<AtfimPre>,
     /// Per-fragment start offset into [`LanePre::corners`] (A-TFIM);
@@ -125,79 +129,62 @@ pub(crate) struct LanePre {
 }
 
 impl LanePre {
-    /// Clears every buffer for the next frame, keeping capacity.
+    /// Clears every buffer for the next chunk, keeping capacity.
     pub fn clear(&mut self) {
         self.colors.clear();
         self.texels.clear();
         self.aniso.clear();
         self.line_start.clear();
         self.lines.clear();
-        self.quad_line_start.clear();
-        self.quad_lines.clear();
         self.at.clear();
         self.at_corner_start.clear();
         self.corners.clear();
     }
+
+    /// The deduplicated cache lines of conventional fragment `i`.
+    pub fn fragment_lines(&self, i: usize) -> &[u64] {
+        &self.lines[self.line_start[i] as usize..self.line_start[i + 1] as usize]
+    }
 }
 
-/// Per-lane consumption cursor: how many fragments and quads of the
-/// lane's [`LanePre`] buffer phase 2 has consumed so far this frame.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct LaneCursor {
-    /// Fragments consumed.
-    pub frag: usize,
-    /// Quads consumed.
-    pub quad: usize,
-}
-
-/// The phase-1 worker: a copy of the design's pure sampling
+/// The phase-1 worker: a copy of the key's pure sampling
 /// configuration, safe to run on any thread against shared read-only
 /// stream/texture data.
 #[derive(Debug, Clone)]
-pub(crate) struct Precomputer {
-    design: Design,
+struct Precomputer {
+    kind: RecordKind,
     sampler: Sampler,
 }
 
 impl Precomputer {
-    /// Builds a precomputer matching the texture path a simulator with
-    /// this configuration instantiates (same sampler, same reorder
+    /// Builds a precomputer matching the texture path of every
+    /// simulator with this sample key (same sampler, same reorder
     /// flag), so phase-1 colors are bit-identical to serial ones.
-    pub fn new(config: &SimConfig) -> Self {
-        let sampler_config = SamplerConfig {
-            reordered: config.design == Design::ATfim,
-            ..config.sampler
-        };
+    pub fn new(key: &SampleKey) -> Self {
         Self {
-            design: config.design,
-            sampler: Sampler::new(sampler_config),
+            kind: key.kind,
+            sampler: Sampler::new(key.sampler),
         }
     }
 
-    /// Fills `buf` with one frame's phase-1 records for cluster
-    /// `lane`: walks the frame's tiles in stream order, keeps those the
+    /// Fills `buf` with one chunk's phase-1 records for cluster
+    /// `lane`: walks the chunk's tiles in stream order, keeps those the
     /// scheduler assigns to `lane`, and precomputes every quad.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fill_lane(
+    fn fill_lane(
         &self,
         lane: usize,
-        data: &StreamData,
-        tile_range: std::ops::Range<usize>,
-        scheduler: &TileScheduler,
-        textures: &[&MippedTexture],
-        layouts: &[TextureLayout],
+        src: &ChunkSource<'_>,
+        tile_range: Range<usize>,
         buf: &mut LanePre,
         scratch: &mut PreScratch,
     ) {
         buf.clear();
-        if matches!(self.design, Design::Baseline | Design::BPim) {
+        if self.kind == RecordKind::Conventional {
             buf.line_start.push(0);
         }
-        if self.design == Design::STfim {
-            buf.quad_line_start.push(0);
-        }
+        let data = src.data;
         for te in &data.tiles[tile_range] {
-            if scheduler.cluster_for(te.coord) != lane {
+            if src.scheduler.cluster_for(te.coord) != lane {
                 continue;
             }
             let mut offset = te.frag_start as usize;
@@ -205,14 +192,13 @@ impl Precomputer {
             for &len in &data.quad_lens[te.quad_start as usize..quad_end] {
                 let quad = &data.fragments[offset..offset + len as usize];
                 offset += len as usize;
-                let tex = textures[quad[0].texture.index()];
-                let layout = &layouts[quad[0].texture.index()];
-                match self.design {
-                    Design::Baseline | Design::BPim => {
+                let tex = &src.textures[quad[0].texture.index()];
+                let layout = &src.layouts[quad[0].texture.index()];
+                match self.kind {
+                    RecordKind::Conventional => {
                         self.pre_conventional(quad, tex, layout, buf, scratch);
                     }
-                    Design::STfim => self.pre_stfim(quad, tex, layout, buf, scratch),
-                    Design::ATfim => self.pre_atfim(quad, tex, layout, buf, scratch),
+                    RecordKind::Atfim => self.pre_atfim(quad, tex, layout, buf, scratch),
                 }
             }
         }
@@ -220,7 +206,8 @@ impl Precomputer {
 
     /// Conventional phase 1: the full sampler pass plus per-fragment
     /// line dedup — the exact computation `quad_conventional` performs
-    /// before its first cache probe.
+    /// before its first cache probe. S-TFIM consumes the same record
+    /// (its quad request lines are a dedup of these lines).
     fn pre_conventional(
         &self,
         quad: &[Fragment],
@@ -247,36 +234,6 @@ impl Precomputer {
             buf.lines.extend_from_slice(&scratch.lines);
             buf.line_start.push(buf.lines.len() as u32);
         }
-    }
-
-    /// S-TFIM phase 1: the sampler pass plus the quad-wide request-line
-    /// dedup (first-occurrence order across the quad's fragments).
-    fn pre_stfim(
-        &self,
-        quad: &[Fragment],
-        tex: &MippedTexture,
-        layout: &TextureLayout,
-        buf: &mut LanePre,
-        scratch: &mut PreScratch,
-    ) {
-        let quad_lines_before = buf.quad_lines.len();
-        for frag in quad {
-            let (ddx, ddy) = texpath::texel_derivs(tex, frag);
-            let info = self
-                .sampler
-                .sample_into(tex, frag.uv, ddx, ddy, &mut scratch.fetches);
-            let texels = info.conventional_texels.max(scratch.fetches.len() as u32);
-            layout.texel_line_addrs_into(scratch.fetches.fetches(), &mut scratch.line_addrs);
-            for &line in &scratch.line_addrs {
-                if !buf.quad_lines[quad_lines_before..].contains(&line) {
-                    buf.quad_lines.push(line);
-                }
-            }
-            buf.colors.push(info.color);
-            buf.texels.push(texels);
-            buf.aniso.push(info.aniso_ratio);
-        }
-        buf.quad_line_start.push(buf.quad_lines.len() as u32);
     }
 
     /// A-TFIM phase 1: footprint geometry, per-corner addressing, and
@@ -358,7 +315,7 @@ impl Precomputer {
 /// Per-worker scratch buffers for phase-1 fills (no steady-state
 /// allocation, mirroring the serial path's `PathScratch`).
 #[derive(Debug, Default)]
-pub(crate) struct PreScratch {
+struct PreScratch {
     fetches: FetchSet,
     line_addrs: Vec<u64>,
     lines: Vec<u64>,
@@ -371,61 +328,248 @@ pub(crate) fn lane_workers(lanes: usize, clusters: usize) -> usize {
     lanes.clamp(1, clusters.max(1))
 }
 
-/// Runs phase 1 for one frame: fills every cluster's [`LanePre`] buffer
-/// across `workers` scoped threads (contiguous cluster chunks — the
-/// round-robin tile partition keeps per-cluster loads near-uniform, so
-/// static chunking balances well). Output is keyed by cluster index and
-/// therefore independent of worker count and scheduling.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn precompute_frame(
-    pre: &Precomputer,
-    data: &StreamData,
-    tile_range: std::ops::Range<usize>,
-    scheduler: &TileScheduler,
-    textures: &[&MippedTexture],
-    layouts: &[TextureLayout],
-    bufs: &mut [LanePre],
+/// The read-only inputs phase 1 samples: the stream, the tile→cluster
+/// partition, the textures as sampled, and their layouts.
+#[derive(Debug)]
+pub(crate) struct ChunkSource<'a> {
+    /// The fragment stream.
+    pub data: &'a StreamData,
+    /// The tile→cluster partition (the lane partition).
+    pub scheduler: &'a TileScheduler,
+    /// The sampled textures, indexed by texture id.
+    pub textures: &'a [MippedTexture],
+    /// The textures' placement, indexed by texture id.
+    pub layouts: &'a [TextureLayout],
+}
+
+/// Runs phase 1 over every tile range of `chunks`, in order, and hands
+/// each chunk's per-cluster records to `consume` (on the calling
+/// thread) before moving on. Records are keyed by cluster index, so
+/// what `consume` sees is independent of `workers` and scheduling.
+///
+/// With one worker the calling thread fills a chunk, then consumes it.
+/// With more, `workers - 1` helper threads live for the whole call and
+/// the records are double-buffered: while the calling thread consumes
+/// chunk `k`, the helpers fill chunk `k + 1`, and the calling thread
+/// joins them once it is done. Participants claim clusters one at a
+/// time, so uneven clusters balance dynamically.
+pub(crate) fn for_each_chunk(
+    key: &SampleKey,
     workers: usize,
+    src: &ChunkSource<'_>,
+    chunks: &[Range<usize>],
+    mut consume: impl FnMut(usize, &[LanePre]),
 ) {
-    let clusters = bufs.len();
+    let pre = Precomputer::new(key);
+    let clusters = key.clusters;
     let workers = lane_workers(workers, clusters);
     if workers <= 1 {
+        let mut bufs: Vec<LanePre> = (0..clusters).map(|_| LanePre::default()).collect();
         let mut scratch = PreScratch::default();
-        for (lane, buf) in bufs.iter_mut().enumerate() {
-            pre.fill_lane(
-                lane,
-                data,
-                tile_range.clone(),
-                scheduler,
-                textures,
-                layouts,
-                buf,
-                &mut scratch,
-            );
+        for (k, range) in chunks.iter().enumerate() {
+            for (lane, buf) in bufs.iter_mut().enumerate() {
+                pre.fill_lane(lane, src, range.clone(), buf, &mut scratch);
+            }
+            consume(k, &bufs);
         }
         return;
     }
-    let chunk = clusters.div_ceil(workers);
+
+    let shared = Pipeline::new(clusters, workers);
+    let job_of = |k: usize| Job {
+        gen: k as u64 + 1,
+        set: k % 2,
+        range: chunks[k].clone(),
+    };
     std::thread::scope(|scope| {
-        for (ci, bufs_chunk) in bufs.chunks_mut(chunk).enumerate() {
-            let tile_range = tile_range.clone();
-            scope.spawn(move || {
-                let mut scratch = PreScratch::default();
-                for (bi, buf) in bufs_chunk.iter_mut().enumerate() {
-                    pre.fill_lane(
-                        ci * chunk + bi,
-                        data,
-                        tile_range.clone(),
-                        scheduler,
-                        textures,
-                        layouts,
-                        buf,
-                        &mut scratch,
-                    );
-                }
-            });
+        for _ in 1..workers {
+            scope.spawn(|| shared.helper(&pre, src));
+        }
+        // Stops the helpers when the calling thread leaves the scope,
+        // unwinding included, so a panic cannot strand them waiting.
+        let _stop = StopOnDrop(&shared);
+        let mut scratch = PreScratch::default();
+        let mut bufs: Vec<LanePre> = Vec::with_capacity(clusters);
+        if !chunks.is_empty() {
+            shared.publish(job_of(0));
+            shared.participate(&pre, src, &job_of(0), &mut scratch);
+            shared.wait();
+        }
+        for k in 0..chunks.len() {
+            if k + 1 < chunks.len() {
+                shared.publish(job_of(k + 1));
+            }
+            shared.take_set(k % 2, &mut bufs);
+            consume(k, &bufs);
+            shared.restore_set(k % 2, &mut bufs);
+            if k + 1 < chunks.len() {
+                shared.participate(&pre, src, &job_of(k + 1), &mut scratch);
+                shared.wait();
+            }
         }
     });
+}
+
+/// One phase-1 job: fill record set `set` for the tiles `range`.
+#[derive(Debug, Clone, Default)]
+struct Job {
+    /// Job number, from 1; 0 means no job yet.
+    gen: u64,
+    set: usize,
+    range: Range<usize>,
+}
+
+/// Published job plus the stop flag, behind [`Pipeline::job`].
+#[derive(Debug, Default)]
+struct JobSlot {
+    job: Job,
+    stop: bool,
+}
+
+/// The state the calling thread and the helpers of [`for_each_chunk`]
+/// share. A job is complete once every participant has left its claim
+/// loop, which is also what makes resetting the claim counter for the
+/// next job safe.
+#[derive(Debug)]
+struct Pipeline {
+    /// Two record sets, one per cluster each: one being consumed, one
+    /// being filled.
+    sets: [Vec<Mutex<LanePre>>; 2],
+    // lock:rank(50, core.lanepre.job)
+    job: Mutex<JobSlot>,
+    // lock:rank(51, core.lanepre.started)
+    started: Condvar,
+    /// Next cluster of the current job to claim.
+    claim: AtomicUsize,
+    /// Participants that left the current job's claim loop.
+    // lock:rank(52, core.lanepre.left)
+    left: Mutex<usize>,
+    // lock:rank(53, core.lanepre.finished)
+    finished: Condvar,
+    participants: usize,
+}
+
+/// Locks `m`, taking the data even if a panicking thread poisoned it
+/// (the panic itself propagates when the thread scope joins).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Pipeline {
+    fn new(clusters: usize, participants: usize) -> Self {
+        let set = || {
+            (0..clusters)
+                .map(|_| Mutex::new(LanePre::default()))
+                .collect()
+        };
+        Self {
+            sets: [set(), set()],
+            job: Mutex::new(JobSlot::default()),
+            started: Condvar::new(),
+            claim: AtomicUsize::new(0),
+            left: Mutex::new(0),
+            finished: Condvar::new(),
+            participants,
+        }
+    }
+
+    /// Starts `job`. Only called once the previous job is complete, so
+    /// no participant is claiming while the counters reset.
+    fn publish(&self, job: Job) {
+        *lock(&self.left) = 0;
+        let mut slot = lock(&self.job);
+        self.claim.store(0, Ordering::Relaxed);
+        slot.job = job;
+        self.started.notify_all();
+    }
+
+    /// Claims and fills clusters of `job` until none are left.
+    fn participate(
+        &self,
+        pre: &Precomputer,
+        src: &ChunkSource<'_>,
+        job: &Job,
+        scratch: &mut PreScratch,
+    ) {
+        // Counts this participant out even if a fill panics, so the
+        // calling thread's `wait` cannot hang.
+        struct Leave<'p>(&'p Pipeline);
+        impl Drop for Leave<'_> {
+            fn drop(&mut self) {
+                let mut left = lock(&self.0.left);
+                *left += 1;
+                if *left == self.0.participants {
+                    self.0.finished.notify_all();
+                }
+            }
+        }
+        let _leave = Leave(self);
+        let set = &self.sets[job.set];
+        loop {
+            let lane = self.claim.fetch_add(1, Ordering::Relaxed);
+            let Some(buf) = set.get(lane) else {
+                break;
+            };
+            pre.fill_lane(lane, src, job.range.clone(), &mut lock(buf), scratch);
+        }
+    }
+
+    /// Blocks until every participant has left the current job.
+    fn wait(&self) {
+        let mut left = lock(&self.left);
+        while *left < self.participants {
+            left = self
+                .finished
+                .wait(left)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// A helper thread: joins every job until stopped.
+    fn helper(&self, pre: &Precomputer, src: &ChunkSource<'_>) {
+        let mut scratch = PreScratch::default();
+        let mut seen = 0;
+        loop {
+            let job = {
+                let mut slot = lock(&self.job);
+                while slot.job.gen == seen && !slot.stop {
+                    slot = self
+                        .started
+                        .wait(slot)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                if slot.stop {
+                    return;
+                }
+                slot.job.clone()
+            };
+            seen = job.gen;
+            self.participate(pre, src, &job, &mut scratch);
+        }
+    }
+
+    /// Moves record set `set` out into `bufs` for consumption.
+    fn take_set(&self, set: usize, bufs: &mut Vec<LanePre>) {
+        bufs.clear();
+        bufs.extend(self.sets[set].iter().map(|m| std::mem::take(&mut *lock(m))));
+    }
+
+    /// Moves the consumed records back, keeping their capacity.
+    fn restore_set(&self, set: usize, bufs: &mut Vec<LanePre>) {
+        for (m, buf) in self.sets[set].iter().zip(bufs.drain(..)) {
+            *lock(m) = buf;
+        }
+    }
+}
+
+/// Stops a [`Pipeline`]'s helpers when dropped.
+struct StopOnDrop<'p>(&'p Pipeline);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        lock(&self.0.job).stop = true;
+        self.0.started.notify_all();
+    }
 }
 
 #[cfg(test)]
@@ -444,15 +588,13 @@ mod tests {
     #[test]
     fn lane_fill_is_worker_count_invariant() {
         let scene = tiny_scene();
-        let data = StreamData::build(&scene, SimConfig::default().tile_px).expect("stream");
-        let config = SimConfig::builder()
-            .design(Design::ATfim)
+        let data = StreamData::build(&scene, crate::SimConfig::default().tile_px).expect("stream");
+        let config = crate::SimConfig::builder()
+            .design(crate::Design::ATfim)
             .build()
             .expect("valid");
-        let pre = Precomputer::new(&config);
-        let clusters = config.shader.clusters;
-        let scheduler = TileScheduler::new(clusters, scene.width().div_ceil(config.tile_px));
-        let textures: Vec<&MippedTexture> = scene.textures.iter().collect();
+        let key = config.sample_key();
+        let scheduler = TileScheduler::new(key.clusters, scene.width().div_ceil(config.tile_px));
         let layouts: Vec<TextureLayout> = scene
             .textures
             .iter()
@@ -464,48 +606,50 @@ mod tests {
                 TextureLayout::new(t.id(), 0x1000_0000 + ((i as u64) << 20), &dims)
             })
             .collect();
+        let src = ChunkSource {
+            data: &data,
+            scheduler: &scheduler,
+            textures: &scene.textures,
+            layouts: &layouts,
+        };
         let fe = &data.frames[0];
-        let range = fe.tile_start as usize..(fe.tile_start + fe.tile_len) as usize;
-        let mut serial: Vec<LanePre> = (0..clusters).map(|_| LanePre::default()).collect();
-        precompute_frame(
-            &pre,
-            &data,
-            range.clone(),
-            &scheduler,
-            &textures,
-            &layouts,
-            &mut serial,
-            1,
-        );
+        let frame = fe.tile_start as usize..(fe.tile_start + fe.tile_len) as usize;
+        let chunks: Vec<Range<usize>> = frame
+            .clone()
+            .step_by(32)
+            .map(|s| s..(s + 32).min(frame.end))
+            .collect();
+        assert!(chunks.len() > 2, "the frame must span several chunks");
+        // Per chunk and cluster: corner starts and (line, value) pairs.
+        type Summary = Vec<Vec<(Vec<u32>, Vec<(u64, Rgba)>)>>;
+        let summarize = |workers: usize| -> Summary {
+            let mut out = Summary::new();
+            for_each_chunk(&key, workers, &src, &chunks, |k, lanes| {
+                assert_eq!(k, out.len(), "chunks arrive in order");
+                out.push(
+                    lanes
+                        .iter()
+                        .map(|l| {
+                            let corners = l.corners.iter().map(|c| (c.line, c.value));
+                            (l.at_corner_start.clone(), corners.collect())
+                        })
+                        .collect(),
+                );
+            });
+            out
+        };
+        let serial = summarize(1);
+        assert_eq!(serial.len(), chunks.len());
         for workers in [2, 4, 16] {
-            let mut wide: Vec<LanePre> = (0..clusters).map(|_| LanePre::default()).collect();
-            precompute_frame(
-                &pre,
-                &data,
-                range.clone(),
-                &scheduler,
-                &textures,
-                &layouts,
-                &mut wide,
-                workers,
-            );
-            for (a, b) in serial.iter().zip(&wide) {
-                assert_eq!(a.at.len(), b.at.len());
-                assert_eq!(a.at_corner_start, b.at_corner_start);
-                assert!(a
-                    .corners
-                    .iter()
-                    .zip(&b.corners)
-                    .all(|(x, y)| x.line == y.line && x.value == y.value));
-            }
+            assert!(serial == summarize(workers), "workers={workers}");
         }
         // Every fragment of the frame landed in exactly one lane.
-        let total: usize = serial.iter().map(|l| l.at.len()).sum();
-        let expect: usize = data.tiles
-            [(fe.tile_start as usize)..(fe.tile_start + fe.tile_len) as usize]
+        let total: usize = serial
             .iter()
-            .map(|t| t.frag_len as usize)
+            .flatten()
+            .map(|(starts, _)| starts.len())
             .sum();
+        let expect: usize = data.tiles[frame].iter().map(|t| t.frag_len as usize).sum();
         assert_eq!(total, expect);
     }
 

@@ -49,6 +49,7 @@ pub mod fxhash;
 pub mod geometry;
 pub(crate) mod lanepre;
 pub mod overhead;
+pub(crate) mod parent_store;
 pub mod rop;
 pub mod sim;
 pub mod stats;
@@ -73,7 +74,7 @@ pub mod prelude {
 }
 
 pub use backend::MemoryBackend;
-pub use config::{SimConfig, SimConfigBuilder, TextureUnitConfig};
+pub use config::{SampleKey, SimConfig, SimConfigBuilder, TextureUnitConfig};
 pub use design::Design;
 pub use overhead::{analyze as analyze_overhead, OverheadReport};
 pub use sim::Simulator;

@@ -22,8 +22,8 @@
 use crate::backend::MemoryBackend;
 use crate::config::SimConfig;
 use crate::design::Design;
-use crate::fxhash::FxHashMap;
-use crate::lanepre::{LaneCursor, LanePre};
+use crate::lanepre::LanePre;
+use crate::parent_store::ParentStore;
 use crate::stats::TextureStats;
 use crate::texunit::TextureUnits;
 use pimgfx_engine::trace::StageTrace;
@@ -32,8 +32,7 @@ use pimgfx_mem::{packet, MemRequest, MemorySystem, TrafficClass};
 use pimgfx_pim::{AtfimLogicLayer, MtuBank, OffloadUnit, ParentFetchBatch, TextureRequest};
 use pimgfx_raster::Fragment;
 use pimgfx_texture::{
-    filter, CacheOutcome, FetchSet, MippedTexture, Sampler, SamplerConfig, TextureCache,
-    TextureLayout,
+    filter, CacheOutcome, FetchSet, MippedTexture, Sampler, TextureCache, TextureLayout,
 };
 use pimgfx_types::{Radians, Result, Rgba, Vec2};
 
@@ -41,9 +40,6 @@ use pimgfx_types::{Radians, Result, Rgba, Vec2};
 const L1_HIT_CYCLES: u64 = 1;
 /// Latency of an L2 texture-cache hit, cycles.
 const L2_HIT_CYCLES: u64 = 8;
-
-/// Key identifying one parent texel in the functional value store.
-type ParentKey = (u32, u8, u32, u32);
 
 /// Reusable per-path scratch buffers: cleared and refilled every quad so
 /// the steady-state sampling loop performs no heap allocation.
@@ -109,7 +105,7 @@ pub struct TexturePath {
     offload: OffloadUnit,
     /// A-TFIM functional store: last computed value and camera angle per
     /// parent texel.
-    parent_values: FxHashMap<ParentKey, (Radians, Rgba)>,
+    parent_values: ParentStore,
     /// Bytes per texel line on the wire (64 raw; 16 under block
     /// compression).
     line_bytes: u32,
@@ -147,16 +143,12 @@ impl TexturePath {
     ///
     /// Propagates cache-geometry errors.
     pub fn new(config: &SimConfig) -> Result<Self> {
-        let sampler_config = SamplerConfig {
-            reordered: config.design == Design::ATfim,
-            ..config.sampler
-        };
         let l1 = (0..config.texture_units.units)
             .map(|_| TextureCache::new(config.l1_cache))
             .collect::<Result<Vec<_>>>()?;
         Ok(Self {
             design: config.design,
-            sampler: Sampler::new(sampler_config),
+            sampler: Sampler::new(config.sample_key().sampler),
             angle_threshold: config.angle_threshold,
             units: TextureUnits::new(config.texture_units),
             l1,
@@ -172,7 +164,7 @@ impl TexturePath {
                     .collect()
             }),
             offload: OffloadUnit::new(config.compress_offload),
-            parent_values: FxHashMap::default(),
+            parent_values: ParentStore::default(),
             line_bytes: if config.compressed_textures { 16 } else { 64 },
             scratch: PathScratch::default(),
             stats: TextureStats::default(),
@@ -317,6 +309,7 @@ impl TexturePath {
     ///
     /// Panics if `frags` is empty or the lane buffer runs dry (a lane
     /// partition mismatch between phases — a bug by definition).
+    /// `cursor` counts the lane's fragments consumed so far.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn sample_quad_pre(
         &mut self,
@@ -326,7 +319,7 @@ impl TexturePath {
         tex: &MippedTexture,
         mem: &mut MemoryBackend,
         pre: &LanePre,
-        cursor: &mut LaneCursor,
+        cursor: &mut usize,
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
         assert!(!frags.is_empty(), "a quad needs at least one fragment");
@@ -337,7 +330,9 @@ impl TexturePath {
             Design::Baseline | Design::BPim => {
                 self.quad_conventional_pre(cluster, issue, frags.len(), mem, pre, cursor, out);
             }
-            Design::STfim => self.quad_stfim_pre(cluster, issue, frags.len(), mem, pre, cursor, out),
+            Design::STfim => {
+                self.quad_stfim_pre(cluster, issue, frags.len(), mem, pre, cursor, out)
+            }
             Design::ATfim => {
                 self.quad_atfim_pre(cluster, issue, frags.len(), tex, mem, pre, cursor, out);
             }
@@ -358,28 +353,31 @@ impl TexturePath {
         frag_count: usize,
         mem: &mut MemoryBackend,
         pre: &LanePre,
-        cursor: &mut LaneCursor,
+        cursor: &mut usize,
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
-        for i in cursor.frag..cursor.frag + frag_count {
-            let lines = &pre.lines[pre.line_start[i] as usize..pre.line_start[i + 1] as usize];
+        for i in *cursor..*cursor + frag_count {
             self.conventional_fragment(
                 cluster,
                 issue,
                 pre.texels[i],
                 pre.aniso[i],
                 pre.colors[i],
-                lines,
+                pre.fragment_lines(i),
                 mem,
                 out,
             );
         }
-        cursor.frag += frag_count;
+        *cursor += frag_count;
     }
 
-    /// S-TFIM phase-2 consume: stored colors and the quad's
-    /// deduplicated request lines in, the shared
-    /// [`TexturePath::stfim_quad_tail`] out.
+    /// S-TFIM phase-2 consume: the conventional records in, the shared
+    /// [`TexturePath::stfim_quad_tail`] out. The quad's request lines
+    /// are the first-occurrence dedup of its fragments' deduplicated
+    /// lines, concatenated — equal to the serial path's dedup of the raw
+    /// fetch lines, because a per-fragment dedup keeps every line's
+    /// first occurrence and so preserves the quad-wide first-occurrence
+    /// order.
     #[allow(clippy::too_many_arguments)]
     fn quad_stfim_pre(
         &mut self,
@@ -388,26 +386,22 @@ impl TexturePath {
         frag_count: usize,
         mem: &mut MemoryBackend,
         pre: &LanePre,
-        cursor: &mut LaneCursor,
+        cursor: &mut usize,
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
         let mut texel_total = 0u32;
-        for i in cursor.frag..cursor.frag + frag_count {
+        self.scratch.stfim_lines.clear();
+        for i in *cursor..*cursor + frag_count {
             let texels = pre.texels[i];
             self.stats.conventional_texels += u64::from(texels);
             self.stats.record_aniso(pre.aniso[i]);
             texel_total += texels;
+            dedup_extend(&mut self.scratch.stfim_lines, pre.fragment_lines(i));
             // Completion is quad-wide and not known yet; patched by the
             // tail, exactly like the serial path.
             out.push((pre.colors[i], issue));
         }
-        let q = cursor.quad;
-        let lines =
-            &pre.quad_lines[pre.quad_line_start[q] as usize..pre.quad_line_start[q + 1] as usize];
-        self.scratch.stfim_lines.clear();
-        self.scratch.stfim_lines.extend_from_slice(lines);
-        cursor.frag += frag_count;
-        cursor.quad += 1;
+        *cursor += frag_count;
         self.stfim_quad_tail(cluster, issue, texel_total, mem, out);
     }
 
@@ -424,16 +418,16 @@ impl TexturePath {
         tex: &MippedTexture,
         mem: &mut MemoryBackend,
         pre: &LanePre,
-        cursor: &mut LaneCursor,
+        cursor: &mut usize,
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut parts = std::mem::take(&mut scratch.parts);
         parts.clear();
-        for i in cursor.frag..cursor.frag + frag_count {
-            parts.push(self.atfim_fragment_pre(cluster, tex.id().raw(), pre, i));
+        for i in *cursor..*cursor + frag_count {
+            parts.push(self.atfim_fragment_pre(cluster, tex, pre, i));
         }
-        cursor.frag += frag_count;
+        *cursor += frag_count;
         self.atfim_quad_tail(cluster, issue, &parts, mem, out, &mut scratch);
         scratch.parts = parts;
         self.scratch = scratch;
@@ -447,10 +441,11 @@ impl TexturePath {
     fn atfim_fragment_pre(
         &mut self,
         cluster: usize,
-        tex_id: u32,
+        tex: &MippedTexture,
         pre: &LanePre,
         idx: usize,
     ) -> AtfimFragment {
+        let tex_id = tex.id().raw();
         let at = &pre.at[idx];
         let angle = at.angle;
         self.stats.conventional_texels += u64::from(at.conventional_texels);
@@ -470,6 +465,8 @@ impl TexturePath {
             .take(usize::from(at.level_count))
         {
             let lv = at.levels[li];
+            let level = usize::from(lv.level);
+            let dims = (tex.level(level).width(), tex.level(level).height());
             let degenerate = lv.degenerate;
             let mut corners = [Rgba::TRANSPARENT; 4];
             for (ci, corner) in pre.corners[corner_base + li * 4..corner_base + li * 4 + 4]
@@ -506,20 +503,25 @@ impl TexturePath {
                 // compatible angle; otherwise consume the speculative
                 // phase-1 recompute and store it.
                 let cached_in_hw = line_hit[slot];
-                let key: ParentKey = (tex_id, lv.level, corner.wx, corner.wy);
-                let reuse = match self.parent_values.get(&key) {
+                let reuse = match self.parent_values.get(tex_id, level, corner.wx, corner.wy) {
                     Some((stored_angle, value))
-                        if cached_in_hw
-                            && stored_angle.abs_diff(angle) <= self.angle_threshold =>
+                        if cached_in_hw && stored_angle.abs_diff(angle) <= self.angle_threshold =>
                     {
-                        Some(*value)
+                        Some(value)
                     }
                     _ => None,
                 };
                 corners[ci] = match reuse {
                     Some(v) => v,
                     None => {
-                        self.parent_values.insert(key, (angle, corner.value));
+                        self.parent_values.insert(
+                            tex_id,
+                            level,
+                            dims,
+                            corner.wx,
+                            corner.wy,
+                            (angle, corner.value),
+                        );
                         corner.value
                     }
                 };
@@ -637,11 +639,7 @@ impl TexturePath {
             self.stats.record_aniso(info.aniso_ratio);
             texel_total += texels;
             layout.texel_line_addrs_into(scratch.fetches.fetches(), &mut scratch.line_addrs);
-            for &line in &scratch.line_addrs {
-                if !scratch.stfim_lines.contains(&line) {
-                    scratch.stfim_lines.push(line);
-                }
-            }
+            dedup_extend(&mut scratch.stfim_lines, &scratch.line_addrs);
             // Completion is quad-wide and not known yet; patched below.
             out.push((info.color, issue));
         }
@@ -740,47 +738,39 @@ impl TexturePath {
             .generate_addresses(cluster, issue, total_parents.max(1));
 
         // One offload package for all quad misses.
-        let quad_miss = &mut scratch.quad_miss;
-        quad_miss.clear();
+        scratch.quad_miss.clear();
         for p in parts {
-            for &l in p.miss_lines.as_slice() {
-                if !quad_miss.contains(&l) {
-                    quad_miss.push(l);
-                }
-            }
+            dedup_extend(&mut scratch.quad_miss, p.miss_lines.as_slice());
         }
         // Degenerate-kernel misses are ordinary texel reads.
-        let plain_lines = &mut scratch.plain_lines;
-        plain_lines.clear();
+        scratch.plain_lines.clear();
         for p in parts {
-            for &l in p.plain_miss_lines.as_slice() {
-                if !plain_lines.contains(&l) {
-                    plain_lines.push(l);
-                }
-            }
+            dedup_extend(&mut scratch.plain_lines, p.plain_miss_lines.as_slice());
         }
         let mut plain_ready = addr_done;
-        for &line in plain_lines.iter() {
+        for &line in &scratch.plain_lines {
             let req = MemRequest::read(TrafficClass::TextureFetch, line, self.line_bytes);
             plain_ready = plain_ready.max(mem.access_external(addr_done, &req));
         }
 
         let mut miss_ready = addr_done;
-        if !quad_miss.is_empty() {
+        if let Some(&first_miss) = scratch.quad_miss.first() {
             let ratio = parts.iter().map(|p| p.aniso_ratio).max().unwrap_or(1);
             let axis_x = parts.iter().filter(|p| p.major_axis_x).count() * 2 >= parts.len();
             // Parent and child texels share a mip pyramid and therefore
             // a cube (§V-E): one cube serves the whole batch.
-            let cube = mem.cube_index(quad_miss[0]);
+            let cube = mem.cube_index(first_miss);
             let hmc = mem
-                .hmc_for(quad_miss[0])
+                .hmc_for(first_miss)
                 // lint:allow(no-panic) — design/backend pairing is rejected by SimConfig::validate, so A-TFIM always runs over HMC
                 .expect("A-TFIM requires an HMC backend (enforced by Simulator::new)");
-            let pkg_bytes = self.offload.package_bytes(quad_miss);
+            let pkg_bytes = self.offload.package_bytes(&scratch.quad_miss);
             hmc.record_external_traffic(TrafficClass::TextureFetch, pkg_bytes);
             let at_cube = hmc.send_to_cube(addr_done, pkg_bytes);
-            let batch = ParentFetchBatch {
-                parent_line_addrs: quad_miss.clone(),
+            // The package takes the miss lines and hands the buffer back
+            // afterwards, so steady state stays allocation-free.
+            let mut batch = ParentFetchBatch {
+                parent_line_addrs: std::mem::take(&mut scratch.quad_miss),
                 aniso_ratio: ratio,
                 major_axis_x: axis_x,
                 line_bytes: self.line_bytes,
@@ -791,7 +781,8 @@ impl TexturePath {
                 // lint:allow(no-panic) — TexturePath::new allocates the logic layer whenever the design is A-TFIM; this branch is A-TFIM-only
                 .expect("A-TFIM path owns the logic layer")[cube]
                 .process(at_cube, &batch, hmc);
-            let resp_bytes = self.offload.response_bytes(quad_miss.len());
+            scratch.quad_miss = std::mem::take(&mut batch.parent_line_addrs);
+            let resp_bytes = self.offload.response_bytes(scratch.quad_miss.len());
             hmc.record_external_traffic(TrafficClass::TextureFetch, resp_bytes);
             miss_ready = hmc.send_to_host(resp.completion, resp_bytes);
             self.stats.offload_packages += 1;
@@ -852,85 +843,88 @@ impl TexturePath {
         // functional side must too.
         let mut line_hit = [false; 8];
 
-        let mut level_color =
-            |path: &mut Self, scratch: &mut PathScratch, level: usize, div: i64| -> Rgba {
-                let (x0, y0, fx, fy) = filter::bilinear_corners(tex, frag.uv, level);
-                let img = tex.level(level);
-                let wrap = tex.wrap();
-                let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
-                filter::probe_offsets_into(&fp, fp.aniso_ratio, fine_scale, &mut scratch.offsets);
-                if div != 1 {
-                    for o in scratch.offsets.iter_mut() {
-                        *o = (o.0 / div, o.1 / div);
-                    }
+        let mut level_color = |path: &mut Self,
+                               scratch: &mut PathScratch,
+                               level: usize,
+                               div: i64|
+         -> Rgba {
+            let (x0, y0, fx, fy) = filter::bilinear_corners(tex, frag.uv, level);
+            let img = tex.level(level);
+            let wrap = tex.wrap();
+            let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
+            filter::probe_offsets_into(&fp, fp.aniso_ratio, fine_scale, &mut scratch.offsets);
+            if div != 1 {
+                for o in scratch.offsets.iter_mut() {
+                    *o = (o.0 / div, o.1 / div);
                 }
-                let offsets = &scratch.offsets;
-                // Degenerate kernel: every probe lands on the parent texel
-                // itself (common at the coarser of the two blended levels).
-                // The "average over children" is then exactly the texel — no
-                // child set exists, so there is nothing to offload and no
-                // camera angle to compare: it is an ordinary texel fetch.
-                let degenerate = offsets.iter().all(|&o| o == (0, 0));
-                let mut corners = [Rgba::TRANSPARENT; 4];
-                for (ci, (cx, cy)) in [(0i64, 0i64), (1, 0), (0, 1), (1, 1)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let wx = wrap.wrap(x0 + cx, img.width());
-                    let wy = wrap.wrap(y0 + cy, img.height());
-                    let line = layout.texel_line_addr(wx, wy, level);
-                    let slot = match parent_lines.as_slice().iter().position(|&l| l == line) {
-                        Some(i) => i,
-                        None => {
-                            let i = usize::from(parent_lines.len);
-                            parent_lines.push(line);
-                            let outcome = if degenerate {
-                                path.probe_plain(cluster, line)
-                            } else {
-                                path.probe_with_angle(cluster, line, angle)
-                            };
-                            line_hit[i] = !matches!(outcome, ProbeOutcome::Miss);
-                            match outcome {
-                                ProbeOutcome::L1Hit => {
-                                    hit_ready = hit_ready.max(Duration::new(L1_HIT_CYCLES));
-                                }
-                                ProbeOutcome::L2Hit => {
-                                    hit_ready = hit_ready.max(Duration::new(L2_HIT_CYCLES));
-                                }
-                                ProbeOutcome::Miss if degenerate => plain_miss_lines.push(line),
-                                ProbeOutcome::Miss => miss_lines.push(line),
+            }
+            let offsets = &scratch.offsets;
+            // Degenerate kernel: every probe lands on the parent texel
+            // itself (common at the coarser of the two blended levels).
+            // The "average over children" is then exactly the texel — no
+            // child set exists, so there is nothing to offload and no
+            // camera angle to compare: it is an ordinary texel fetch.
+            let degenerate = offsets.iter().all(|&o| o == (0, 0));
+            let mut corners = [Rgba::TRANSPARENT; 4];
+            for (ci, (cx, cy)) in [(0i64, 0i64), (1, 0), (0, 1), (1, 1)]
+                .into_iter()
+                .enumerate()
+            {
+                let wx = wrap.wrap(x0 + cx, img.width());
+                let wy = wrap.wrap(y0 + cy, img.height());
+                let line = layout.texel_line_addr(wx, wy, level);
+                let slot = match parent_lines.as_slice().iter().position(|&l| l == line) {
+                    Some(i) => i,
+                    None => {
+                        let i = usize::from(parent_lines.len);
+                        parent_lines.push(line);
+                        let outcome = if degenerate {
+                            path.probe_plain(cluster, line)
+                        } else {
+                            path.probe_with_angle(cluster, line, angle)
+                        };
+                        line_hit[i] = !matches!(outcome, ProbeOutcome::Miss);
+                        match outcome {
+                            ProbeOutcome::L1Hit => {
+                                hit_ready = hit_ready.max(Duration::new(L1_HIT_CYCLES));
                             }
-                            i
+                            ProbeOutcome::L2Hit => {
+                                hit_ready = hit_ready.max(Duration::new(L2_HIT_CYCLES));
+                            }
+                            ProbeOutcome::Miss if degenerate => plain_miss_lines.push(line),
+                            ProbeOutcome::Miss => miss_lines.push(line),
                         }
-                    };
-                    // Functional: reuse the stored parent value only when the
-                    // cache actually hit (with a compatible angle); any miss —
-                    // capacity or angle — recomputes with this fragment's own
-                    // footprint, as the hardware would.
-                    let cached_in_hw = line_hit[slot];
-                    let key: ParentKey = (tex.id().raw(), level as u8, wx, wy);
-                    let reuse = match path.parent_values.get(&key) {
-                        Some((stored_angle, value))
-                            if cached_in_hw
-                                && stored_angle.abs_diff(angle) <= path.angle_threshold =>
-                        {
-                            Some(*value)
-                        }
-                        _ => None,
-                    };
-                    corners[ci] = match reuse {
-                        Some(v) => v,
-                        None => {
-                            let v = filter::average_children(tex, x0 + cx, y0 + cy, level, offsets);
-                            path.parent_values.insert(key, (angle, v));
-                            v
-                        }
-                    };
-                }
-                corners[0]
-                    .lerp(corners[1], fx)
-                    .lerp(corners[2].lerp(corners[3], fx), fy)
-            };
+                        i
+                    }
+                };
+                // Functional: reuse the stored parent value only when the
+                // cache actually hit (with a compatible angle); any miss —
+                // capacity or angle — recomputes with this fragment's own
+                // footprint, as the hardware would.
+                let cached_in_hw = line_hit[slot];
+                let reuse = match path.parent_values.get(tex.id().raw(), level, wx, wy) {
+                    Some((stored_angle, value))
+                        if cached_in_hw && stored_angle.abs_diff(angle) <= path.angle_threshold =>
+                    {
+                        Some(value)
+                    }
+                    _ => None,
+                };
+                corners[ci] = match reuse {
+                    Some(v) => v,
+                    None => {
+                        let v = filter::average_children(tex, x0 + cx, y0 + cy, level, offsets);
+                        let dims = (img.width(), img.height());
+                        path.parent_values
+                            .insert(tex.id().raw(), level, dims, wx, wy, (angle, v));
+                        v
+                    }
+                };
+            }
+            corners[0]
+                .lerp(corners[1], fx)
+                .lerp(corners[2].lerp(corners[3], fx), fy)
+        };
 
         let c_fine = level_color(self, scratch, fine, 1);
         let color = if coarse == fine || w == 0.0 {
@@ -1065,7 +1059,7 @@ impl TexturePath {
             a.reset();
         }
         self.offload.reset();
-        self.parent_values.clear();
+        self.parent_values.reset();
         self.stats = TextureStats::default();
     }
 }
@@ -1099,9 +1093,15 @@ pub(crate) fn dedup_lines_into(
 ) {
     layout.texel_line_addrs_into(fetches, addrs);
     lines.clear();
-    for &line in addrs.iter() {
-        if !lines.contains(&line) {
-            lines.push(line);
+    dedup_extend(lines, addrs);
+}
+
+/// Appends every line of `lines` that `out` does not hold yet, in
+/// order: a first-occurrence dedup that extends an existing list.
+pub(crate) fn dedup_extend(out: &mut Vec<u64>, lines: &[u64]) {
+    for &line in lines {
+        if !out.contains(&line) {
+            out.push(line);
         }
     }
 }
@@ -1180,6 +1180,44 @@ mod tests {
         // Reuse without clearing in between: still identical.
         dedup_lines_into(&fetches, &layout, &mut addrs, &mut got);
         assert_eq!(got, want);
+    }
+
+    /// S-TFIM's phase-2 consume builds a quad's request lines from the
+    /// per-fragment deduplicated lines of the conventional record; that
+    /// must equal the serial path's dedup of the quad's raw fetch lines,
+    /// order included (the order is the MTU's request order).
+    #[test]
+    fn quad_dedup_of_fragment_lines_matches_raw_quad_dedup() {
+        let (_, layout) = test_texture();
+        let mut rng = pimgfx_types::TinyRng::seed_from_u64(0x57f1);
+        for _ in 0..500 {
+            let quad: Vec<Vec<pimgfx_texture::TexelFetch>> = (0..1 + rng.next_u64() % 4)
+                .map(|_| {
+                    (0..rng.next_u64() % 24)
+                        .map(|_| pimgfx_texture::TexelFetch {
+                            x: (rng.next_u64() % 12) as u32,
+                            y: (rng.next_u64() % 12) as u32,
+                            level: (rng.next_u64() % 2) as u8,
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut addrs = Vec::new();
+            // Serial path: the quad-wide dedup of every raw fetch line.
+            let mut raw = Vec::new();
+            for fetches in &quad {
+                layout.texel_line_addrs_into(fetches, &mut addrs);
+                dedup_extend(&mut raw, &addrs);
+            }
+            // Record path: dedup per fragment, then across the quad.
+            let mut lines = Vec::new();
+            let mut from_record = Vec::new();
+            for fetches in &quad {
+                dedup_lines_into(fetches, &layout, &mut addrs, &mut lines);
+                dedup_extend(&mut from_record, &lines);
+            }
+            assert_eq!(raw, from_record);
+        }
     }
 
     #[test]

@@ -38,7 +38,10 @@ fn assert_lane_equivalence(workload: Workload, resolution: Resolution, config: &
             .render_replay_lanes(&stream, lanes)
             .expect("lane replay");
         laned.audit().expect("lane audit");
-        let label = format!("{workload:?} {resolution:?} {:?} lanes={lanes}", config.design);
+        let label = format!(
+            "{workload:?} {resolution:?} {:?} lanes={lanes}",
+            config.design
+        );
         // Headline fields first for a readable failure, then the full
         // report (timing, stats, traffic, energy, trace, and every
         // pixel of the frame image).
@@ -53,11 +56,7 @@ fn assert_lane_equivalence(workload: Workload, resolution: Resolution, config: &
 fn doom3_all_designs_lane_equivalent() {
     for design in Design::ALL {
         let config = SimConfig::builder().design(design).build().expect("valid");
-        assert_lane_equivalence(
-            Workload::Game(Game::Doom3),
-            Resolution::R320x240,
-            &config,
-        );
+        assert_lane_equivalence(Workload::Game(Game::Doom3), Resolution::R320x240, &config);
     }
 }
 
@@ -91,11 +90,7 @@ fn compressed_textures_lane_equivalent() {
             .compressed_textures(true)
             .build()
             .expect("valid");
-        assert_lane_equivalence(
-            Workload::Game(Game::Doom3),
-            Resolution::R320x240,
-            &config,
-        );
+        assert_lane_equivalence(Workload::Game(Game::Doom3), Resolution::R320x240, &config);
     }
 }
 
@@ -115,7 +110,10 @@ fn lane_count_above_cluster_count_clamps_and_matches() {
     let mut b = Simulator::new(config).expect("sim");
     let serial = a.render_replay(&stream).expect("serial");
     let wide = b.render_replay_lanes(&stream, 1024).expect("wide");
-    assert!(serial == wide, "oversized lane count must clamp, not diverge");
+    assert!(
+        serial == wide,
+        "oversized lane count must clamp, not diverge"
+    );
 }
 
 #[test]

@@ -13,7 +13,7 @@ use pimgfx_types::Vec2;
 /// Matches the knobs the paper sweeps — `max_aniso = 1` reproduces the
 /// "anisotropic filtering disabled" experiment of Fig. 4, and
 /// `reordered = true` switches to the A-TFIM filtering order.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplerConfig {
     /// Filtering pipeline to run.
     pub filter: FilterMode,
