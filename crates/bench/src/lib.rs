@@ -332,7 +332,7 @@ pub struct Harness {
     reports: BTreeMap<(Workload, Resolution, String), RenderReport>,
     walls: BTreeMap<(String, String), WallSplit>,
     /// Pinned replay lane count (tests and A/B probes); `None` derives
-    /// lanes from the shared [`pool`] budget and `PIMGFX_REPLAY_LANES`.
+    /// lanes from the shared [`pool`] budget.
     replay_lanes_pin: Option<usize>,
     /// Load-balance accounting accumulated across `precompute` calls:
     /// per-cell wall milliseconds and the pool capacity
@@ -473,10 +473,9 @@ impl Harness {
     }
 
     /// Pins the replay lane count for every subsequent cell simulation
-    /// (`Some(1)` forces fully serial replay; `None` restores the
-    /// default: the shared [`pool`] budget split, overridable via
-    /// `PIMGFX_REPLAY_LANES`). Exists so equivalence tests can sweep
-    /// lane counts without racing each other over the environment.
+    /// (`Some(1)` forces the serial fill; `None` restores the default:
+    /// the shared [`pool`] budget split). Exists so equivalence tests
+    /// can sweep lane counts.
     pub fn set_replay_lanes(&mut self, lanes: Option<usize>) {
         self.replay_lanes_pin = lanes;
     }
@@ -943,25 +942,6 @@ fn simulate_batch(
     let Some(first) = configs.first() else {
         return Ok((Vec::new(), WallSplit::default()));
     };
-    if first.tile_px != streams.tile_px() {
-        // A batch binned at a different tile size cannot replay the
-        // shared stream; render directly (no variant does this today).
-        // det:boundary — backend wall-time for WallSplit reporting.
-        let start = Instant::now();
-        let reports = sims
-            .iter_mut()
-            .map(|sim| sim.render_trace(scene))
-            .collect::<Result<Vec<_>>>()?;
-        let backend_ms = start.elapsed().as_secs_f64() * 1000.0;
-        return Ok((
-            reports,
-            WallSplit {
-                frontend_ms: 0.0,
-                backend_ms,
-                replay_lanes: 1,
-            },
-        ));
-    }
     // Mirror the simulator's internal clamp so the manifest records the
     // lane count the replay actually ran with.
     let lanes_eff = lanes.clamp(1, first.shader.clusters.max(1));
@@ -1001,9 +981,7 @@ pub fn run_variant(scene: &SceneTrace, variant: Variant) -> Result<RenderReport>
 ///
 /// # Errors
 ///
-/// Propagates configuration and simulation failures. Falls back to a
-/// direct render when the variant's tile size does not match the
-/// cache's.
+/// Propagates configuration and simulation failures.
 pub fn run_variant_replay(
     scene: &Arc<SceneTrace>,
     variant: Variant,
@@ -1020,9 +998,7 @@ pub fn run_variant_replay(
 ///
 /// # Errors
 ///
-/// Propagates configuration and simulation failures. Falls back to a
-/// direct render when the variant's tile size does not match the
-/// cache's.
+/// Propagates configuration and simulation failures.
 pub fn run_variant_replay_lanes(
     scene: &Arc<SceneTrace>,
     variant: Variant,
@@ -1030,12 +1006,8 @@ pub fn run_variant_replay_lanes(
     lanes: usize,
 ) -> Result<RenderReport> {
     let config = variant.config()?;
-    let mut sim = Simulator::new(config)?;
-    if sim.config().tile_px != streams.tile_px() {
-        return sim.render_trace(scene);
-    }
     let stream = streams.get(scene)?;
-    sim.render_replay_lanes(&stream, lanes)
+    Simulator::new(config)?.render_replay_lanes(&stream, lanes)
 }
 
 /// Runs several variants of one scene through the worker [`pool`],

@@ -43,20 +43,6 @@ use pimgfx_types::{ConfigError, Result};
 /// configuration error).
 pub const THREADS_ENV: &str = "PIMGFX_THREADS";
 
-/// Environment variable overriding the per-cell replay lane count
-/// (positive integer; `1` forces fully serial replay; `0` or empty
-/// means "derive from the shared budget"; anything else is a
-/// configuration error, same grammar as [`THREADS_ENV`]).
-///
-/// Replay lanes are the *intra-cell* parallelism axis: inside one
-/// replay, `Simulator::render_replay_batch` precomputes per-cluster
-/// fragment work on `lanes` threads, one chunk of tiles ahead of the
-/// serial timing walk. The
-/// pool's cell-level fan-out and the lane level share one budget (see
-/// [`configured_replay_lanes`]) so `PIMGFX_THREADS=N` never
-/// oversubscribes the machine.
-pub const REPLAY_LANES_ENV: &str = "PIMGFX_REPLAY_LANES";
-
 /// Interprets a [`THREADS_ENV`] value: `Ok(Some(n))` pins the pool to
 /// `n` workers, `Ok(None)` means "fall back to auto-detection" (the
 /// documented `> 0` filter, kept only for a literal `"0"` and for
@@ -113,7 +99,10 @@ pub fn worker_count(jobs: usize) -> Result<usize> {
 }
 
 /// Splits a thread budget between the cell-level pool and the per-cell
-/// replay lanes: with `cell_workers` cells running at once out of a
+/// replay lanes — the *intra-cell* parallelism axis: inside one replay,
+/// `Simulator::render_replay_batch` precomputes per-cluster fragment
+/// work on `lanes` threads, one chunk of tiles ahead of the serial
+/// timing walk. With `cell_workers` cells running at once out of a
 /// `budget`-thread allowance, each cell may use `budget / cell_workers`
 /// lanes (never 0). A budget of 1 — `PIMGFX_THREADS=1` — therefore
 /// forces fully serial replay, and a sweep wide enough to occupy the
@@ -124,37 +113,15 @@ pub fn replay_lanes_split(budget: usize, cell_workers: usize) -> usize {
 }
 
 /// The replay lane count for cells running under a `cell_workers`-wide
-/// pool: the [`REPLAY_LANES_ENV`] override when set to a positive
-/// integer, else the shared budget ([`configured_workers`]) split by
-/// [`replay_lanes_split`].
-///
-/// The override intentionally bypasses the budget split (it exists for
-/// A/B determinism checks and for measuring the lane axis alone), so
-/// setting both `PIMGFX_THREADS=N` and `PIMGFX_REPLAY_LANES=M` can run
-/// up to `N × M` threads — the documented escape hatch, not the default.
+/// pool: the shared budget ([`configured_workers`]) split by
+/// [`replay_lanes_split`], so cells and lanes together never
+/// oversubscribe the machine.
 ///
 /// # Errors
 ///
-/// Rejects a malformed [`REPLAY_LANES_ENV`] or [`THREADS_ENV`] value
-/// (same grammar as [`parse_threads_override`]).
+/// Rejects a malformed [`THREADS_ENV`] value (see
+/// [`parse_threads_override`]).
 pub fn configured_replay_lanes(cell_workers: usize) -> Result<usize> {
-    if let Ok(raw) = std::env::var(REPLAY_LANES_ENV) {
-        let trimmed = raw.trim();
-        if !trimmed.is_empty() {
-            match trimmed.parse::<usize>() {
-                Ok(0) => {}
-                Ok(n) => return Ok(n),
-                Err(_) => {
-                    return Err(ConfigError::new(
-                        "worker pool",
-                        format!(
-                            "{REPLAY_LANES_ENV}={trimmed:?} is not a non-negative integer lane count"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
     Ok(replay_lanes_split(configured_workers()?, cell_workers))
 }
 
@@ -294,30 +261,6 @@ mod tests {
         }
         // A degenerate 0-worker caller still gets a sane answer.
         assert_eq!(replay_lanes_split(4, 0), 4);
-    }
-
-    #[test]
-    fn replay_lanes_env_override_is_honored() {
-        // `configured_replay_lanes` reads the environment on every call;
-        // restore afterwards to stay polite to later tests.
-        let saved = std::env::var(REPLAY_LANES_ENV).ok();
-        std::env::set_var(REPLAY_LANES_ENV, "3");
-        assert_eq!(configured_replay_lanes(8).expect("valid"), 3);
-        std::env::set_var(REPLAY_LANES_ENV, "1");
-        assert_eq!(
-            configured_replay_lanes(1).expect("valid"),
-            1,
-            "lanes=1 pins fully serial replay"
-        );
-        std::env::set_var(REPLAY_LANES_ENV, "abc");
-        assert!(
-            configured_replay_lanes(1).is_err(),
-            "a typo'd lane override must be a hard error"
-        );
-        match saved {
-            Some(v) => std::env::set_var(REPLAY_LANES_ENV, v),
-            None => std::env::remove_var(REPLAY_LANES_ENV),
-        }
     }
 
     #[test]

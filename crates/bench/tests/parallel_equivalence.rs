@@ -182,9 +182,7 @@ fn replay_lanes_produce_byte_identical_manifest_cells() {
     // The lane axis (intra-cell cluster-parallel replay) must be an
     // optimization only, like the pool: every report summary, manifest
     // cell object, and CSV byte must match the fully serial replay at
-    // any lane count. Lane counts are pinned directly on the harness
-    // (the `PIMGFX_REPLAY_LANES` spelling of the same thing would race
-    // other tests over the environment).
+    // any lane count. Lane counts are pinned directly on the harness.
     let sweep = test_sweep();
 
     let mut serial = Harness::new(1);

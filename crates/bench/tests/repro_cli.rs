@@ -20,7 +20,6 @@ fn repro(case: &str, args: &[&str]) -> (Output, PathBuf) {
         .args(args)
         .current_dir(&dir)
         .env_remove("PIMGFX_THREADS")
-        .env_remove("PIMGFX_REPLAY_LANES")
         .output()
         .expect("spawn repro");
     (out, dir)

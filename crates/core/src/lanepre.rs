@@ -1,4 +1,4 @@
-//! Phase-1 lane precomputation for cluster-parallel backend replay.
+//! Phase 1 of every backend replay: the per-cluster sampling records.
 //!
 //! The backend replay has two kinds of work per fragment quad:
 //!
@@ -12,18 +12,20 @@
 //!    ROP. These mutate shared state whose evolution depends on the
 //!    exact global tile order.
 //!
-//! Cluster-parallel replay splits the two into phases: phase 1 runs
-//! kind-1 work for every shader cluster's tile lane in parallel (the
-//! lane partition is `TileScheduler::cluster_for`, identical to the
-//! serial path's per-tile cluster assignment), recording the results in
-//! per-lane [`LanePre`] buffers; phase 2 then walks the tiles in the
-//! original serial order, consuming one record per fragment, and runs
-//! only kind-2 work. Every cache probe, server issue, and stats
-//! increment happens in the same order with the same operands as the
-//! serial path, so the resulting [`RenderReport`](crate::RenderReport)
-//! is byte-identical **by construction** — the property the
-//! `lane_equivalence` and `batch_equivalence` suites pin for every
-//! design.
+//! Every replay splits the two into phases: phase 1 runs kind-1 work
+//! for every shader cluster's tile lane (the lane partition is
+//! `TileScheduler::cluster_for`, the replay's per-tile cluster
+//! assignment), recording the results in per-lane [`LanePre`] buffers;
+//! phase 2 then walks the tiles in stream order, consuming one record
+//! per fragment, and runs only kind-2 work. At one lane the calling
+//! thread fills every lane's buffer itself (the serial fill); with more,
+//! helper threads share the fill. Records are keyed by cluster, so every
+//! cache probe, server issue, and stats increment happens in the same
+//! order with the same operands whoever filled them, and the resulting
+//! [`RenderReport`](crate::RenderReport) is byte-identical **by
+//! construction** — the property the `lane_equivalence` and
+//! `batch_equivalence` suites pin for every design against the serial
+//! fill, which `replay_golden` pins in turn.
 //!
 //! Kind-1 work depends only on the configuration's
 //! [`SampleKey`], so one set of records serves every simulator of a
@@ -41,11 +43,11 @@
 
 use crate::config::{RecordKind, SampleKey};
 use crate::stream::StreamData;
-use crate::texpath;
+use crate::texpath::dedup_extend;
 use pimgfx_raster::Fragment;
 use pimgfx_shader::TileScheduler;
-use pimgfx_texture::{filter, FetchSet, MippedTexture, Sampler, TextureLayout};
-use pimgfx_types::{Radians, Rgba};
+use pimgfx_texture::{filter, FetchSet, MippedTexture, Sampler, TexelFetch, TextureLayout};
+use pimgfx_types::{Radians, Rgba, Vec2};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -62,8 +64,8 @@ pub(crate) struct CornerPre {
     /// Cache-line address of the parent texel.
     pub line: u64,
     /// `average_children` result for this corner, computed with the
-    /// fragment's own probe offsets — bit-identical to what the serial
-    /// path computes on a reuse miss.
+    /// fragment's own probe offsets: the value phase 2 stores on a
+    /// reuse miss.
     pub value: Rgba,
 }
 
@@ -102,7 +104,7 @@ pub(crate) struct AtfimPre {
 }
 
 /// Phase-1 output for one cluster lane, in lane-local consumption
-/// order (the serial tile order restricted to this cluster). Flat SoA
+/// order (the stream's tile order restricted to this cluster). Flat SoA
 /// buffers with prefix indices so steady-state replay never allocates.
 #[derive(Debug, Default)]
 pub(crate) struct LanePre {
@@ -124,17 +126,19 @@ pub(crate) struct LanePre {
     /// each fragment owns `level_count * 4` consecutive corners.
     pub at_corner_start: Vec<u32>,
     /// Flat parent-corner records (A-TFIM), 4 per contributing level,
-    /// fine level first — the serial probe-discovery order.
+    /// fine level first — the order phase 2 probes them in.
     pub corners: Vec<CornerPre>,
 }
 
 impl LanePre {
-    /// Clears every buffer for the next chunk, keeping capacity.
+    /// Clears every buffer for the next chunk, keeping capacity, and
+    /// opens the line prefix at 0.
     pub fn clear(&mut self) {
         self.colors.clear();
         self.texels.clear();
         self.aniso.clear();
         self.line_start.clear();
+        self.line_start.push(0);
         self.lines.clear();
         self.at.clear();
         self.at_corner_start.clear();
@@ -157,9 +161,8 @@ struct Precomputer {
 }
 
 impl Precomputer {
-    /// Builds a precomputer matching the texture path of every
-    /// simulator with this sample key (same sampler, same reorder
-    /// flag), so phase-1 colors are bit-identical to serial ones.
+    /// Builds the precomputer for every simulator with this sample key:
+    /// the key's record kind and sampler.
     pub fn new(key: &SampleKey) -> Self {
         Self {
             kind: key.kind,
@@ -179,9 +182,6 @@ impl Precomputer {
         scratch: &mut PreScratch,
     ) {
         buf.clear();
-        if self.kind == RecordKind::Conventional {
-            buf.line_start.push(0);
-        }
         let data = src.data;
         for te in &data.tiles[tile_range] {
             if src.scheduler.cluster_for(te.coord) != lane {
@@ -194,20 +194,30 @@ impl Precomputer {
                 offset += len as usize;
                 let tex = &src.textures[quad[0].texture.index()];
                 let layout = &src.layouts[quad[0].texture.index()];
-                match self.kind {
-                    RecordKind::Conventional => {
-                        self.pre_conventional(quad, tex, layout, buf, scratch);
-                    }
-                    RecordKind::Atfim => self.pre_atfim(quad, tex, layout, buf, scratch),
-                }
+                self.fill_quad(quad, tex, layout, buf, scratch);
             }
         }
     }
 
+    /// Appends one quad's records to `buf`.
+    fn fill_quad(
+        &self,
+        quad: &[Fragment],
+        tex: &MippedTexture,
+        layout: &TextureLayout,
+        buf: &mut LanePre,
+        scratch: &mut PreScratch,
+    ) {
+        match self.kind {
+            RecordKind::Conventional => self.pre_conventional(quad, tex, layout, buf, scratch),
+            RecordKind::Atfim => self.pre_atfim(quad, tex, layout, buf, scratch),
+        }
+    }
+
     /// Conventional phase 1: the full sampler pass plus per-fragment
-    /// line dedup — the exact computation `quad_conventional` performs
-    /// before its first cache probe. S-TFIM consumes the same record
-    /// (its quad request lines are a dedup of these lines).
+    /// line dedup — everything the conventional filter computes before
+    /// its first cache probe. S-TFIM consumes the same record (its quad
+    /// request lines are a dedup of these lines).
     fn pre_conventional(
         &self,
         quad: &[Fragment],
@@ -217,12 +227,12 @@ impl Precomputer {
         scratch: &mut PreScratch,
     ) {
         for frag in quad {
-            let (ddx, ddy) = texpath::texel_derivs(tex, frag);
+            let (ddx, ddy) = texel_derivs(tex, frag);
             let info = self
                 .sampler
                 .sample_into(tex, frag.uv, ddx, ddy, &mut scratch.fetches);
             let texels = info.conventional_texels.max(scratch.fetches.len() as u32);
-            texpath::dedup_lines_into(
+            dedup_lines_into(
                 scratch.fetches.fetches(),
                 layout,
                 &mut scratch.line_addrs,
@@ -236,10 +246,10 @@ impl Precomputer {
         }
     }
 
-    /// A-TFIM phase 1: footprint geometry, per-corner addressing, and
-    /// the speculative child-average value of every corner, computed
-    /// with the fragment's own probe offsets (the operands a serial
-    /// recompute uses).
+    /// A-TFIM phase 1: footprint geometry, the angle tag, per-corner
+    /// addressing, and the speculative child-average value of every
+    /// corner, computed with the fragment's own probe offsets (the
+    /// operands a phase-2 recompute would use).
     fn pre_atfim(
         &self,
         quad: &[Fragment],
@@ -249,9 +259,18 @@ impl Precomputer {
         scratch: &mut PreScratch,
     ) {
         for frag in quad {
-            let (ddx, ddy) = texpath::texel_derivs(tex, frag);
+            let (ddx, ddy) = texel_derivs(tex, frag);
             let fp = self.sampler.footprint(ddx, ddy);
             let (fine, coarse, w) = fp.mip_levels(tex.max_level());
+            // The cached tag must identify the *child-texel set* a parent
+            // was computed with (paper Fig. 8: same address, different
+            // camera angles => different child sets). The pixel's camera
+            // angle induces both angular degrees of freedom of that set —
+            // the anisotropy line's orientation in texture space and its
+            // obliqueness (which fixes the span) — so the tag encodes
+            // both: the orientation doubled (so its natural period π
+            // matches the 2π circular comparison) plus the surface camera
+            // angle.
             let orientation = fp.major_axis.y.atan2(fp.major_axis.x);
             let angle = Radians::new(
                 2.0 * orientation.rem_euclid(std::f32::consts::PI) + frag.camera_angle.as_f32(),
@@ -294,9 +313,8 @@ impl Precomputer {
                     let wx = wrap.wrap(x0 + cx, img.width());
                     let wy = wrap.wrap(y0 + cy, img.height());
                     let line = layout.texel_line_addr(wx, wy, level);
-                    // The serial path's reuse-miss recompute: same kernel,
-                    // same operands (the unwrapped coordinate is what the
-                    // serial path passes, so clamped wraps agree too).
+                    // The value a reuse miss stores: the child average
+                    // around the unwrapped corner coordinate.
                     let value =
                         filter::average_children(tex, x0 + cx, y0 + cy, level, &scratch.offsets);
                     buf.corners.push(CornerPre {
@@ -313,13 +331,59 @@ impl Precomputer {
 }
 
 /// Per-worker scratch buffers for phase-1 fills (no steady-state
-/// allocation, mirroring the serial path's `PathScratch`).
+/// allocation).
 #[derive(Debug, Default)]
 struct PreScratch {
     fetches: FetchSet,
     line_addrs: Vec<u64>,
     lines: Vec<u64>,
     offsets: Vec<(i64, i64)>,
+}
+
+/// Derivatives in base-level texel units for one fragment.
+fn texel_derivs(tex: &MippedTexture, frag: &Fragment) -> (Vec2, Vec2) {
+    let scale = Vec2::new(tex.width() as f32, tex.height() as f32);
+    (
+        Vec2::new(frag.duv_dx.x * scale.x, frag.duv_dx.y * scale.y),
+        Vec2::new(frag.duv_dy.x * scale.x, frag.duv_dy.y * scale.y),
+    )
+}
+
+/// Deduplicated cache-line addresses of a fetch trace, written into a
+/// caller-provided scratch buffer (cleared first) so the per-quad hot
+/// loop does not allocate. Order is **first occurrence**, not sorted:
+/// the lines feed LRU caches, so reordering them would change hit/miss
+/// sequences and therefore timing.
+///
+/// Addressing runs as a batch over the flat trace first
+/// ([`TextureLayout::texel_line_addrs_into`], via the `addrs` scratch),
+/// then the dedup folds the resulting flat `u64` slice: bulk arithmetic
+/// over SoA buffers, order-sensitive logic scalar.
+fn dedup_lines_into(
+    fetches: &[TexelFetch],
+    layout: &TextureLayout,
+    addrs: &mut Vec<u64>,
+    lines: &mut Vec<u64>,
+) {
+    layout.texel_line_addrs_into(fetches, addrs);
+    lines.clear();
+    dedup_extend(lines, addrs);
+}
+
+/// Records one quad with the phase-1 precomputer of `key` into a fresh
+/// buffer, exactly as a lane fill records it: the input of unit tests
+/// that drive the consume side one quad at a time.
+#[cfg(test)]
+pub(crate) fn record_quad(
+    key: &SampleKey,
+    quad: &[Fragment],
+    tex: &MippedTexture,
+    layout: &TextureLayout,
+) -> LanePre {
+    let mut buf = LanePre::default();
+    buf.clear();
+    Precomputer::new(key).fill_quad(quad, tex, layout, &mut buf, &mut PreScratch::default());
+    buf
 }
 
 /// Resolves the phase-1 worker count for a replay: `lanes` capped to
@@ -583,6 +647,87 @@ mod tests {
         profile.texture_count = 4;
         profile.facing_props = 1;
         build_scene_unchecked(&profile, Resolution::R320x240, 1)
+    }
+
+    /// The layout of a 32×32 texture with its full mip chain.
+    fn small_layout() -> TextureLayout {
+        let dims: Vec<(u32, u32)> = (0..6).map(|l| (32 >> l, 32 >> l)).collect();
+        TextureLayout::new(pimgfx_types::TextureId::new(0), 1 << 24, &dims)
+    }
+
+    /// `dedup_lines_into` must produce exactly what the old
+    /// allocate-per-quad dedup produced: same lines, same first-occurrence
+    /// order (the order drives LRU cache state and thus timing).
+    #[test]
+    fn dedup_lines_into_preserves_order_and_content() {
+        let layout = small_layout();
+        let fetches: Vec<TexelFetch> = [
+            (4u32, 4u32, 0u8),
+            (5, 4, 0),
+            (4, 4, 0), // duplicate texel
+            (20, 9, 0),
+            (2, 2, 1),
+            (5, 4, 0), // duplicate texel
+            (3, 2, 1), // may share a line with (2,2,1)
+        ]
+        .into_iter()
+        .map(|(x, y, level)| TexelFetch { x, y, level })
+        .collect();
+
+        // Reference: the historical fresh-Vec dedup.
+        let mut want: Vec<u64> = Vec::new();
+        for f in &fetches {
+            let line = layout.texel_line_addr(f.x, f.y, usize::from(f.level));
+            if !want.contains(&line) {
+                want.push(line);
+            }
+        }
+
+        let mut addrs = Vec::new();
+        let mut got = vec![0xdead_beef; 2]; // stale scratch must be cleared
+        dedup_lines_into(&fetches, &layout, &mut addrs, &mut got);
+        assert_eq!(got, want);
+        // Reuse without clearing in between: still identical.
+        dedup_lines_into(&fetches, &layout, &mut addrs, &mut got);
+        assert_eq!(got, want);
+    }
+
+    /// S-TFIM's phase-2 consume builds a quad's request lines from the
+    /// per-fragment deduplicated lines of the conventional record; that
+    /// must equal the dedup of the quad's raw fetch lines,
+    /// order included (the order is the MTU's request order).
+    #[test]
+    fn quad_dedup_of_fragment_lines_matches_raw_quad_dedup() {
+        let layout = small_layout();
+        let mut rng = pimgfx_types::TinyRng::seed_from_u64(0x57f1);
+        for _ in 0..500 {
+            let quad: Vec<Vec<TexelFetch>> = (0..1 + rng.next_u64() % 4)
+                .map(|_| {
+                    (0..rng.next_u64() % 24)
+                        .map(|_| TexelFetch {
+                            x: (rng.next_u64() % 12) as u32,
+                            y: (rng.next_u64() % 12) as u32,
+                            level: (rng.next_u64() % 2) as u8,
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut addrs = Vec::new();
+            // Reference: the quad-wide dedup of every raw fetch line.
+            let mut raw = Vec::new();
+            for fetches in &quad {
+                layout.texel_line_addrs_into(fetches, &mut addrs);
+                dedup_extend(&mut raw, &addrs);
+            }
+            // Record path: dedup per fragment, then across the quad.
+            let mut lines = Vec::new();
+            let mut from_record = Vec::new();
+            for fetches in &quad {
+                dedup_lines_into(fetches, &layout, &mut addrs, &mut lines);
+                dedup_extend(&mut from_record, &lines);
+            }
+            assert_eq!(raw, from_record);
+        }
     }
 
     #[test]

@@ -158,10 +158,10 @@ impl Simulator {
     /// pure per-fragment work spread over up to `lanes` worker threads:
     /// a [`render_replay_batch`](Self::render_replay_batch) of one.
     ///
-    /// `lanes <= 1` runs the inline serial path (no extra threads, no
-    /// precompute buffers); lane counts above the cluster count are
-    /// clamped — one lane per cluster is the maximum useful width. The
-    /// report is byte-identical for any lane count.
+    /// `lanes <= 1` fills the records on the calling thread (no extra
+    /// threads); lane counts above the cluster count are clamped — one
+    /// lane per cluster is the maximum useful width. The report is
+    /// byte-identical for any lane count.
     ///
     /// # Errors
     ///
@@ -198,9 +198,7 @@ impl Simulator {
     /// with the frame.
     ///
     /// Phase 1 reads only the configuration's [`SampleKey`], so every
-    /// simulator of a batch must share one. A batch of one at
-    /// `lanes <= 1` samples inline instead (nothing to share, nothing
-    /// to spread).
+    /// simulator of a batch must share one.
     ///
     /// # Errors
     ///
@@ -243,11 +241,9 @@ impl Simulator {
 
     /// The variant-specific backend over an already-built fragment
     /// stream: drives shading, texturing, ROP, memory, and energy for
-    /// every simulator of `sims` (which share one sample key). With
-    /// several simulators or `lanes > 1`, the pure per-fragment work
-    /// runs as a chunked phase-1 precompute shared by all of them (see
-    /// [`crate::lanepre`]); results stay byte-identical to the inline
-    /// serial path.
+    /// every simulator of `sims` (which share one sample key). The pure
+    /// per-fragment work runs as a chunked phase-1 precompute shared by
+    /// all of them on up to `lanes` threads (see [`crate::lanepre`]).
     fn replay_batch(
         sims: &mut [Simulator],
         scene: &SceneTrace,
@@ -264,53 +260,39 @@ impl Simulator {
             .iter_mut()
             .map(|sim| Replay::new(sim, &inputs))
             .collect();
-        let frame_tiles =
-            |fe: &FrameEntry| fe.tile_start as usize..(fe.tile_start + fe.tile_len) as usize;
 
-        if replays.len() == 1 && lanes <= 1 {
-            // A lone simulator without lanes samples inline: nothing to
-            // share, nothing to spread, no records.
-            for r in &mut replays {
-                for fe in &data.frames {
-                    r.begin_frame();
-                    r.tiles(frame_tiles(fe), None);
-                    r.end_frame(fe);
-                }
+        // Every frame's tiles in chunks, tagged with their frame. A frame
+        // without tiles still gets one empty chunk, so it opens and
+        // closes.
+        let mut chunks: Vec<std::ops::Range<usize>> = Vec::new();
+        let mut chunk_frame: Vec<usize> = Vec::new();
+        for (f, fe) in data.frames.iter().enumerate() {
+            let tiles = fe.tile_start as usize..(fe.tile_start + fe.tile_len) as usize;
+            for start in (tiles.start..tiles.end.max(tiles.start + 1)).step_by(CHUNK_TILES) {
+                chunks.push(start..(start + CHUNK_TILES).min(tiles.end));
+                chunk_frame.push(f);
             }
-        } else {
-            // Every frame's tiles in chunks, tagged with their frame. A
-            // frame without tiles still gets one empty chunk, so it opens
-            // and closes.
-            let mut chunks: Vec<std::ops::Range<usize>> = Vec::new();
-            let mut chunk_frame: Vec<usize> = Vec::new();
-            for (f, fe) in data.frames.iter().enumerate() {
-                let tiles = frame_tiles(fe);
-                for start in (tiles.start..tiles.end.max(tiles.start + 1)).step_by(CHUNK_TILES) {
-                    chunks.push(start..(start + CHUNK_TILES).min(tiles.end));
-                    chunk_frame.push(f);
-                }
-            }
-            let src = lanepre::ChunkSource {
-                data,
-                scheduler: &inputs.scheduler,
-                textures: inputs.textures(),
-                layouts: &inputs.layouts,
-            };
-            lanepre::for_each_chunk(&key, lanes, &src, &chunks, |k, records| {
-                let f = chunk_frame[k];
-                let opens = k == 0 || chunk_frame[k - 1] != f;
-                let closes = chunk_frame.get(k + 1) != Some(&f);
-                for r in &mut replays {
-                    if opens {
-                        r.begin_frame();
-                    }
-                    r.tiles(chunks[k].clone(), Some(records));
-                    if closes {
-                        r.end_frame(&data.frames[f]);
-                    }
-                }
-            });
         }
+        let src = lanepre::ChunkSource {
+            data,
+            scheduler: &inputs.scheduler,
+            textures: inputs.textures(),
+            layouts: &inputs.layouts,
+        };
+        lanepre::for_each_chunk(&key, lanes, &src, &chunks, |k, records| {
+            let f = chunk_frame[k];
+            let opens = k == 0 || chunk_frame[k - 1] != f;
+            let closes = chunk_frame.get(k + 1) != Some(&f);
+            for r in &mut replays {
+                if opens {
+                    r.begin_frame();
+                }
+                r.tiles(chunks[k].clone(), records);
+                if closes {
+                    r.end_frame(&data.frames[f]);
+                }
+            }
+        });
         Ok(replays.into_iter().map(Replay::finish).collect())
     }
 
@@ -337,7 +319,7 @@ impl Simulator {
     }
 }
 
-/// Screen tiles per chunk of a shared or laned replay: phase 1 fills
+/// Screen tiles per chunk of a replay: phase 1 fills
 /// the records of this many tiles, then every simulator of the batch
 /// consumes them. Small enough that the records never grow with the
 /// frame and stay near 1 MB (on `figs-quick`, 64-tile chunks raised
@@ -415,7 +397,7 @@ impl<'a> ReplayInputs<'a> {
 /// One simulator's replay in progress: the per-run accumulators and
 /// the current frame's state, advanced by
 /// [`begin_frame`](Replay::begin_frame), [`tiles`](Replay::tiles) (once
-/// per frame, or once per chunk) and [`end_frame`](Replay::end_frame),
+/// per chunk) and [`end_frame`](Replay::end_frame),
 /// and turned into a report by [`finish`](Replay::finish).
 struct Replay<'a> {
     sim: &'a mut Simulator,
@@ -496,10 +478,10 @@ impl<'a> Replay<'a> {
     }
 
     /// Fragment processing over the stream's tiles `range` of the
-    /// current frame, in stream order. With `pre`, every quad consumes
-    /// its phase-1 record from its cluster's buffer (filled for exactly
-    /// this range); without, it samples inline.
-    fn tiles(&mut self, range: std::ops::Range<usize>, pre: Option<&[LanePre]>) {
+    /// current frame, in stream order. Every quad consumes its phase-1
+    /// record from its cluster's buffer in `pre` (filled for exactly
+    /// this range).
+    fn tiles(&mut self, range: std::ops::Range<usize>, pre: &[LanePre]) {
         let inputs = self.inputs;
         let data = inputs.data;
         let textures = inputs.textures();
@@ -525,29 +507,16 @@ impl<'a> Replay<'a> {
             for &len in &data.quad_lens[te.quad_start as usize..quad_end] {
                 let quad = &data.fragments[offset..offset + len as usize];
                 offset += len as usize;
-                let tex_index = quad[0].texture.index();
-                let tex = &textures[tex_index];
-                match pre {
-                    Some(bufs) => sim.texture.sample_quad_pre(
-                        cluster,
-                        issue_at,
-                        quad,
-                        tex,
-                        &mut sim.mem,
-                        &bufs[cluster],
-                        &mut self.cursors[cluster],
-                        &mut self.quad_results,
-                    ),
-                    None => sim.texture.sample_quad_into(
-                        cluster,
-                        issue_at,
-                        quad,
-                        tex,
-                        &inputs.layouts[tex_index],
-                        &mut sim.mem,
-                        &mut self.quad_results,
-                    ),
-                }
+                sim.texture.sample_quad(
+                    cluster,
+                    issue_at,
+                    quad,
+                    &textures[quad[0].texture.index()],
+                    &mut sim.mem,
+                    &pre[cluster],
+                    &mut self.cursors[cluster],
+                    &mut self.quad_results,
+                );
                 for (frag, &(color, done)) in quad.iter().zip(&self.quad_results) {
                     tile_done = tile_done.max(done);
                     self.image.put(frag.x, frag.y, color.clamped());
@@ -562,23 +531,11 @@ impl<'a> Replay<'a> {
     /// Closes a frame: ROP write-back, then the per-frame statistics
     /// and trace slice.
     fn end_frame(&mut self, fe: &FrameEntry) {
-        let frag_end = self.frame_end;
         let rop_done = self.rop.flush_frame(self.frame_end, &mut self.sim.mem);
         self.frame_end = self
             .frame_end
             .max(rop_done)
             .max(self.sim.texture.last_completion());
-        // Opt-in diagnostic channel; stderr is the intended sink.
-        #[allow(clippy::print_stderr)]
-        if std::env::var_os("PIMGFX_TRACE_PHASES").is_some() {
-            eprintln!(
-                "phase trace: geom {} | fragments {} | rop {} | tex_last {}",
-                self.geom_done.get(),
-                frag_end.get(),
-                rop_done.get(),
-                self.sim.texture.last_completion().get()
-            );
-        }
 
         self.clock = self.frame_end;
         // Per-frame trace slice: the compute-side counters are
